@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "chip/tile_partition.hpp"
@@ -53,6 +54,12 @@ la::Matrix random_integer_matrix(std::size_t n, std::size_t m, int hi,
     for (std::size_t j = 0; j < m; ++j)
       a(i, j) = static_cast<double>(rng.uniform_int(0, hi));
   return a;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
 }
 
 std::vector<std::uint32_t> random_counts(std::size_t len, std::uint32_t total,
@@ -236,6 +243,7 @@ TEST(TiledTwoPhase, SingleTileByteReproducesMonolithicEvaluator) {
   ASSERT_EQ(tiled.chip_m().partition().num_tiles(), 1u);
 
   util::Rng prof_rng(31);
+  std::uint64_t digest = 0;
   for (int t = 0; t < 50; ++t) {
     game::QuantizedProfile prof{game::QuantizedStrategy::random(3, 12, prof_rng),
                                 game::QuantizedStrategy::random(3, 12,
@@ -243,7 +251,12 @@ TEST(TiledTwoPhase, SingleTileByteReproducesMonolithicEvaluator) {
     const double f_mono = mono.evaluate(prof);
     const double f_tiled = tiled.evaluate(prof);
     EXPECT_EQ(f_mono, f_tiled);  // bitwise
+    std::uint64_t state = digest ^ bits_of(f_mono);
+    digest = util::splitmix64(state);
   }
+  // The monolithic side's 50 objectives, pinned as recorded before the
+  // evaluators were folded into one.
+  EXPECT_EQ(digest, 0xf35a1a931daf5049ull);
 }
 
 TEST(TiledTwoPhase, SingleTileSaTrajectoryIsByteIdentical) {
@@ -270,6 +283,14 @@ TEST(TiledTwoPhase, SingleTileSaTrajectoryIsByteIdentical) {
   EXPECT_EQ(ra.final_profile.p.counts(), rb.final_profile.p.counts());
   EXPECT_EQ(ra.final_profile.q.counts(), rb.final_profile.q.counts());
   EXPECT_EQ(mono.refresh_count(), tiled.refresh_count());
+  // The monolithic trajectory, pinned as recorded before the evaluators
+  // were folded into one.
+  EXPECT_EQ(bits_of(ra.final_objective), 0x3f92000000000040ull);
+  EXPECT_EQ(bits_of(ra.best_objective), 0x3f92000000000020ull);
+  EXPECT_EQ(ra.accepted, 10u);
+  EXPECT_EQ(ra.final_profile.p.counts(), (std::vector<std::uint32_t>{8, 4}));
+  EXPECT_EQ(ra.final_profile.q.counts(), (std::vector<std::uint32_t>{4, 8}));
+  EXPECT_EQ(mono.refresh_count(), 0u);
 }
 
 // ---- Multi-tile evaluation fidelity -----------------------------------------
