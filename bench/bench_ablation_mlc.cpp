@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
       cfg.seed = 5200 + levels * 17 + static_cast<std::uint64_t>(instance);
       cfg.hardware.levels_per_cell = levels;
       core::CNashSolver solver(inst.game, cfg);
-      const auto& gm = solver.hardware()->crossbar_m().mapping().geometry();
-      const auto& gnt = solver.hardware()->crossbar_nt().mapping().geometry();
+      const auto& gm = solver.hardware()->chip_m().mapping().geometry();
+      const auto& gnt = solver.hardware()->chip_nt().mapping().geometry();
       cells = static_cast<double>(gm.total_cells() + gnt.total_cells());
       area_mm2 = area_model.macro(gm, gnt).total_um2() / 1e6;
       static xbar::MappingGeometry geom_keep;

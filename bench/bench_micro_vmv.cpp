@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
 #include "core/engine.hpp"
 #include "core/solver.hpp"
-#include "core/two_phase.hpp"
 #include "game/games.hpp"
 #include "qubo/annealer.hpp"
 #include "qubo/squbo_builder.hpp"
@@ -83,7 +83,8 @@ void BM_TwoPhaseHardwareEval(benchmark::State& state) {
   const auto inst = game::paper_benchmarks()[static_cast<std::size_t>(
       state.range(0))];
   core::TwoPhaseConfig cfg;
-  core::TwoPhaseEvaluator hw(inst.game, inst.intervals, cfg, util::Rng(2));
+  chip::TiledTwoPhaseEvaluator hw(inst.game, inst.intervals, cfg,
+                                  util::Rng(2));
   util::Rng rng(3);
   game::QuantizedProfile prof{
       game::QuantizedStrategy::random(inst.game.num_actions1(), inst.intervals,
@@ -97,12 +98,13 @@ BENCHMARK(BM_TwoPhaseHardwareEval)->Arg(0)->Arg(1)->Arg(2);
 void BM_CrossbarVmvRead(benchmark::State& state) {
   const auto inst = game::paper_benchmarks()[2];
   core::TwoPhaseConfig cfg;
-  core::TwoPhaseEvaluator hw(inst.game, inst.intervals, cfg, util::Rng(4));
+  chip::TiledTwoPhaseEvaluator hw(inst.game, inst.intervals, cfg,
+                                  util::Rng(4));
   util::Rng rng(5);
   const auto p = game::QuantizedStrategy::random(8, 60, rng).counts();
   const auto q = game::QuantizedStrategy::random(8, 60, rng).counts();
   for (auto _ : state)
-    benchmark::DoNotOptimize(hw.crossbar_m().read_vmv(p, q));
+    benchmark::DoNotOptimize(hw.chip_m().tile(0, 0).read_vmv(p, q));
 }
 BENCHMARK(BM_CrossbarVmvRead);
 
@@ -113,7 +115,8 @@ void BM_TwoPhaseIncrementalPropose(benchmark::State& state) {
   const auto inst = game::paper_benchmarks()[static_cast<std::size_t>(
       state.range(0))];
   core::TwoPhaseConfig cfg;
-  core::TwoPhaseEvaluator hw(inst.game, inst.intervals, cfg, util::Rng(2));
+  chip::TiledTwoPhaseEvaluator hw(inst.game, inst.intervals, cfg,
+                                  util::Rng(2));
   util::Rng rng(3);
   game::QuantizedProfile prof{
       game::QuantizedStrategy::random(inst.game.num_actions1(), inst.intervals,
@@ -143,7 +146,8 @@ BENCHMARK(BM_WtaTreeReduce)->Arg(2)->Arg(8)->Arg(64);
 
 void BM_SaIterationBattleOfSexes(benchmark::State& state) {
   core::TwoPhaseConfig cfg;
-  core::TwoPhaseEvaluator hw(game::battle_of_sexes(), 12, cfg, util::Rng(7));
+  chip::TiledTwoPhaseEvaluator hw(game::battle_of_sexes(), 12, cfg,
+                                  util::Rng(7));
   util::Rng rng(8);
   core::SaOptions opts;
   opts.iterations = 100;

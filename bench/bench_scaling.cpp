@@ -23,6 +23,7 @@
 #include <thread>
 
 #include "bench_common.hpp"
+#include "chip/tiled_two_phase.hpp"
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "core/timing.hpp"
@@ -79,8 +80,8 @@ int main(int argc, char** argv) {
     opts.threads = cli.threads;
     auto factory = std::make_shared<core::HardwareEvaluatorFactory>(
         g, intervals, core::TwoPhaseConfig{}, util::Rng(opts.seed));
-    const auto probe = factory->create_hardware(core::kProbeInstanceKey);
-    const xbar::MappingGeometry geom = probe->crossbar_m().mapping().geometry();
+    const xbar::MappingGeometry geom =
+        chip::mapped_geometry(g, intervals, core::TwoPhaseConfig{}).m;
     core::SolverEngine engine(factory, opts);
     std::vector<core::CandidateSolution> cands;
     for (const auto& o : engine.run(runs)) cands.push_back({o.p, o.q});
@@ -189,7 +190,8 @@ int main(int argc, char** argv) {
     auto timed_run = [&](bool incremental, double* objective) {
       core::TwoPhaseConfig cfg;
       cfg.incremental = incremental;
-      core::TwoPhaseEvaluator hw_eval(g, intervals, cfg, util::Rng(808));
+      chip::TiledTwoPhaseEvaluator hw_eval(g, intervals, cfg,
+                                           util::Rng(808));
       util::Rng sa_rng(909);
       const auto t0 = std::chrono::steady_clock::now();
       const auto res = core::simulated_annealing(hw_eval, intervals, sa, sa_rng);

@@ -5,8 +5,8 @@
 
 #include <cstdio>
 
+#include "chip/tiled_two_phase.hpp"
 #include "core/timing.hpp"
-#include "core/two_phase.hpp"
 #include "fefet/cell_1t1r.hpp"
 #include "fefet/preisach.hpp"
 #include "game/games.hpp"
@@ -37,8 +37,8 @@ int main() {
   const game::BimatrixGame g = game::bird_game();
   const std::uint32_t intervals = 12;
   core::TwoPhaseConfig cfg;
-  core::TwoPhaseEvaluator hw(g, intervals, cfg, util::Rng(5));
-  const auto& geom = hw.crossbar_m().mapping().geometry();
+  chip::TiledTwoPhaseEvaluator hw(g, intervals, cfg, util::Rng(5));
+  const auto& geom = hw.chip_m().mapping().geometry();
   std::printf("game %s: payoff matrix %zux%zu, I=%u, t=%u cells/element\n",
               g.name().c_str(), geom.n, geom.m, geom.intervals,
               geom.cells_per_element);

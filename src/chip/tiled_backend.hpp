@@ -1,51 +1,13 @@
 #pragma once
-// The "hardware-sa-tiled" solver backend: two-phase SA on the multi-tile
-// chip model (chip/tiled_two_phase). Shares the SaPreparedJob unit contract
-// with "hardware-sa" — evaluator instance key 2r, SA stream key 2r+1 — so a
-// request whose game fits a single tile byte-reproduces the monolithic
-// backend's report.
+// The "hardware-sa-tiled" backend shares its evaluator factory and prepare
+// path with "hardware-sa" (core/engine.hpp, core/backend.cpp); this header
+// only keeps the factory's chip-side name.
 
-#include <cstdint>
-#include <memory>
-
-#include "chip/chip_config.hpp"
-#include "chip/tiled_two_phase.hpp"
-#include "core/backend.hpp"
 #include "core/engine.hpp"
-#include "util/fault.hpp"
 
 namespace cnash::chip {
 
-/// Per-run tiled-evaluator instances for the service workers; the keyed
-/// device RNG split makes every instance reproducible regardless of which
-/// worker creates it (same contract as HardwareEvaluatorFactory).
-class TiledEvaluatorFactory final : public core::EvaluatorFactory {
- public:
-  /// `fault` (default disabled) is re-keyed per instance — create(key) rolls
-  /// tile failures under fault.for_instance(key) — so the same run fails the
-  /// same way on every retry/worker, independently of the other runs.
-  TiledEvaluatorFactory(game::BimatrixGame game, std::uint32_t intervals,
-                        core::TwoPhaseConfig config, ChipConfig chip,
-                        util::Rng device_rng, util::FaultPlan fault = {});
-  const game::BimatrixGame& game() const override { return game_; }
-  std::uint32_t intervals() const { return intervals_; }
-  const ChipConfig& chip() const { return chip_; }
-  std::unique_ptr<core::ObjectiveEvaluator> create(
-      std::uint64_t key) const override;
-  /// Typed variant for tile-grid / WTA / ADC introspection.
-  std::unique_ptr<TiledTwoPhaseEvaluator> create_tiled(std::uint64_t key) const;
-
- private:
-  game::BimatrixGame game_;
-  std::uint32_t intervals_;
-  core::TwoPhaseConfig config_;
-  ChipConfig chip_;
-  util::Rng device_rng_;
-  util::FaultPlan fault_;
-};
-
-/// The registry entry ("hardware-sa-tiled"); registered by
-/// core::SolverRegistry::global().
-std::unique_ptr<core::SolverBackend> make_tiled_backend();
+/// core::HardwareEvaluatorFactory by the name perfbench/src/layers.cpp uses.
+using TiledEvaluatorFactory = core::HardwareEvaluatorFactory;
 
 }  // namespace cnash::chip

@@ -5,10 +5,49 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/bits.hpp"
 
 namespace cnash::chip {
+
+namespace {
+
+/// The payoff matrices the M and Nᵀ arrays store. The MAX-QUBO objective is
+/// invariant to a common constant shift of both payoff matrices (Σp = Σq = 1
+/// exactly on the quantized grid), so shift to non-negative and scale to
+/// integers for the unary cell coding.
+std::pair<la::Matrix, la::Matrix> scaled_arrays(const game::BimatrixGame& game,
+                                                double value_scale) {
+  if (value_scale <= 0.0)
+    throw std::invalid_argument("TiledTwoPhaseEvaluator: value_scale <= 0");
+  const game::BimatrixGame shifted = game.shifted_non_negative(0.0);
+  return {shifted.payoff1() * value_scale,
+          shifted.payoff2().transposed() * value_scale};
+}
+
+}  // namespace
+
+ArrayGeometry mapped_geometry(const game::BimatrixGame& game,
+                              std::uint32_t intervals,
+                              const core::TwoPhaseConfig& config) {
+  const auto [m, nt] = scaled_arrays(game, config.value_scale);
+  auto geometry = [&](const la::Matrix& payoff) {
+    return xbar::CrossbarMapping(payoff, intervals, config.cells_per_element,
+                                 config.levels_per_cell)
+        .geometry();
+  };
+  return {geometry(m), geometry(nt)};
+}
+
+ChipConfig single_tile_chip(const ArrayGeometry& geometry) {
+  ChipConfig chip;
+  chip.tile_rows =
+      std::max(geometry.m.total_rows(), geometry.nt.total_rows());
+  chip.tile_cols =
+      std::max(geometry.m.total_cols(), geometry.nt.total_cols());
+  return chip;
+}
 
 TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
                                                std::uint32_t intervals,
@@ -24,20 +63,13 @@ TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
       value_scale_(config.value_scale) {
   if (intervals_ == 0)
     throw std::invalid_argument("TiledTwoPhaseEvaluator: I == 0");
-  if (value_scale_ <= 0.0)
-    throw std::invalid_argument("TiledTwoPhaseEvaluator: value_scale <= 0");
   if (config_.refresh_interval == 0)
     throw std::invalid_argument("TiledTwoPhaseEvaluator: refresh_interval == 0");
   if (chip_.aggregation_noise_rel < 0.0)
     throw std::invalid_argument(
         "TiledTwoPhaseEvaluator: aggregation_noise_rel < 0");
 
-  // Same shift/scale/coding pipeline — and the same RNG split order — as the
-  // monolithic TwoPhaseEvaluator, so a 1×1 grid replays its exact streams.
-  const game::BimatrixGame shifted = game_.shifted_non_negative(0.0);
-  const la::Matrix m_scaled = shifted.payoff1() * value_scale_;
-  const la::Matrix nt_scaled = shifted.payoff2().transposed() * value_scale_;
-
+  const auto [m_scaled, nt_scaled] = scaled_arrays(game_, value_scale_);
   util::Rng rng_m = rng_.split();
   util::Rng rng_nt = rng_.split();
   chip_m_ = std::make_unique<TiledCrossbar>(
@@ -270,81 +302,46 @@ void TiledTwoPhaseEvaluator::apply_move(State& st,
                                         std::vector<std::uint32_t>& p_counts,
                                         std::vector<std::uint32_t>& q_counts,
                                         const core::TickMove& mv,
-                                        bool with_partials) {
-  const bool digital = chip_.readout == ChipReadout::kIdealDigital;
-  if (mv.player == core::TickMove::Player::kRow) {
-    // p_from loses a word line of the M array / a column group of Nᵀ.
-    const std::uint32_t pf = p_counts[mv.from];
-    const std::uint32_t pt = p_counts[mv.to];
-    if (pf == 0 || pt >= intervals_)
-      throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
-    const std::uint32_t* qc = q_counts.data();
-    if (digital) {
-      st.m.vmv_units +=
-          chip_m_->digital_vmv_row_delta(mv.from, pf, pf - 1, qc) +
-          chip_m_->digital_vmv_row_delta(mv.to, pt, pt + 1, qc);
-      st.nt.vmv_units +=
-          chip_nt_->digital_vmv_group_delta(mv.from, pf, pf - 1, qc) +
-          chip_nt_->digital_vmv_group_delta(mv.to, pt, pt + 1, qc);
-      chip_nt_->digital_mv_group_delta(mv.from, pf, pf - 1,
-                                       st.nt.mv_units.data());
-      chip_nt_->digital_mv_group_delta(mv.to, pt, pt + 1,
-                                       st.nt.mv_units.data());
-    } else {
-      double* cells_m = with_partials ? st.m.vmv_partial.data() : nullptr;
-      double* cells_nt = with_partials ? st.nt.vmv_partial.data() : nullptr;
-      st.m.vmv_total +=
-          chip_m_->vmv_row_delta(mv.from, pf, pf - 1, qc, cells_m) +
-          chip_m_->vmv_row_delta(mv.to, pt, pt + 1, qc, cells_m);
-      st.nt.vmv_total +=
-          chip_nt_->vmv_group_delta(mv.from, pf, pf - 1, qc, cells_nt) +
-          chip_nt_->vmv_group_delta(mv.to, pt, pt + 1, qc, cells_nt);
-      chip_nt_->mv_group_delta_total(mv.from, pf, pf - 1,
-                                     st.nt.mv_total.data());
-      chip_nt_->mv_group_delta_total(mv.to, pt, pt + 1, st.nt.mv_total.data());
-      if (with_partials) {
-        chip_nt_->mv_group_delta(mv.from, pf, pf - 1,
-                                 st.nt.mv_partial.data());
-        chip_nt_->mv_group_delta(mv.to, pt, pt + 1, st.nt.mv_partial.data());
-      }
-    }
-    p_counts[mv.from] = pf - 1;
-    p_counts[mv.to] = pt + 1;
+                                        bool partials) {
+  // A row (p) tick moves a word line of the M array and a column group of
+  // Nᵀ; a column (q) tick moves a word line of Nᵀ and a column group of M.
+  const bool row = mv.player == core::TickMove::Player::kRow;
+  std::vector<std::uint32_t>& counts = row ? p_counts : q_counts;
+  const std::uint32_t* other = (row ? q_counts : p_counts).data();
+  const TiledCrossbar& xl = row ? *chip_m_ : *chip_nt_;  // word line moves
+  const TiledCrossbar& xg = row ? *chip_nt_ : *chip_m_;  // column group moves
+  ArrayState& lines = row ? st.m : st.nt;
+  ArrayState& groups = row ? st.nt : st.m;
+  const std::uint32_t f = counts[mv.from];
+  const std::uint32_t t = counts[mv.to];
+  if (f == 0 || t >= intervals_)
+    throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
+
+  if (chip_.readout == ChipReadout::kIdealDigital) {
+    lines.vmv_units += xl.digital_vmv_row_delta(mv.from, f, f - 1, other) +
+                       xl.digital_vmv_row_delta(mv.to, t, t + 1, other);
+    groups.vmv_units += xg.digital_vmv_group_delta(mv.from, f, f - 1, other) +
+                        xg.digital_vmv_group_delta(mv.to, t, t + 1, other);
+    xg.digital_mv_group_delta(mv.from, f, f - 1, groups.mv_units.data());
+    xg.digital_mv_group_delta(mv.to, t, t + 1, groups.mv_units.data());
+  } else if (!partials) {
+    lines.vmv_total += xl.vmv_row_delta(mv.from, f, f - 1, other, nullptr) +
+                       xl.vmv_row_delta(mv.to, t, t + 1, other, nullptr);
+    groups.vmv_total +=
+        xg.vmv_group_delta(mv.from, f, f - 1, other, nullptr) +
+        xg.vmv_group_delta(mv.to, t, t + 1, other, nullptr);
+    xg.mv_group_delta_total(mv.from, f, f - 1, groups.mv_total.data());
+    xg.mv_group_delta_total(mv.to, t, t + 1, groups.mv_total.data());
   } else {
-    const std::uint32_t qf = q_counts[mv.from];
-    const std::uint32_t qt = q_counts[mv.to];
-    if (qf == 0 || qt >= intervals_)
-      throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
-    const std::uint32_t* pc = p_counts.data();
-    if (digital) {
-      st.m.vmv_units +=
-          chip_m_->digital_vmv_group_delta(mv.from, qf, qf - 1, pc) +
-          chip_m_->digital_vmv_group_delta(mv.to, qt, qt + 1, pc);
-      st.nt.vmv_units +=
-          chip_nt_->digital_vmv_row_delta(mv.from, qf, qf - 1, pc) +
-          chip_nt_->digital_vmv_row_delta(mv.to, qt, qt + 1, pc);
-      chip_m_->digital_mv_group_delta(mv.from, qf, qf - 1,
-                                      st.m.mv_units.data());
-      chip_m_->digital_mv_group_delta(mv.to, qt, qt + 1, st.m.mv_units.data());
-    } else {
-      double* cells_m = with_partials ? st.m.vmv_partial.data() : nullptr;
-      double* cells_nt = with_partials ? st.nt.vmv_partial.data() : nullptr;
-      st.m.vmv_total +=
-          chip_m_->vmv_group_delta(mv.from, qf, qf - 1, pc, cells_m) +
-          chip_m_->vmv_group_delta(mv.to, qt, qt + 1, pc, cells_m);
-      st.nt.vmv_total +=
-          chip_nt_->vmv_row_delta(mv.from, qf, qf - 1, pc, cells_nt) +
-          chip_nt_->vmv_row_delta(mv.to, qt, qt + 1, pc, cells_nt);
-      chip_m_->mv_group_delta_total(mv.from, qf, qf - 1, st.m.mv_total.data());
-      chip_m_->mv_group_delta_total(mv.to, qt, qt + 1, st.m.mv_total.data());
-      if (with_partials) {
-        chip_m_->mv_group_delta(mv.from, qf, qf - 1, st.m.mv_partial.data());
-        chip_m_->mv_group_delta(mv.to, qt, qt + 1, st.m.mv_partial.data());
-      }
-    }
-    q_counts[mv.from] = qf - 1;
-    q_counts[mv.to] = qt + 1;
+    xl.vmv_row_delta(mv.from, f, f - 1, other, lines.vmv_partial.data());
+    xl.vmv_row_delta(mv.to, t, t + 1, other, lines.vmv_partial.data());
+    xg.vmv_group_delta(mv.from, f, f - 1, other, groups.vmv_partial.data());
+    xg.vmv_group_delta(mv.to, t, t + 1, other, groups.vmv_partial.data());
+    xg.mv_group_delta(mv.from, f, f - 1, groups.mv_partial.data());
+    xg.mv_group_delta(mv.to, t, t + 1, groups.mv_partial.data());
   }
+  counts[mv.from] = f - 1;
+  counts[mv.to] = t + 1;
 }
 
 double TiledTwoPhaseEvaluator::propose(const core::TickMove* moves,
@@ -375,8 +372,7 @@ double TiledTwoPhaseEvaluator::propose(const core::TickMove* moves,
   q_scratch_ = q_counts_;
   pending_.assign(moves, moves + count);
   for (std::size_t i = 0; i < count; ++i)
-    apply_move(scratch_, p_scratch_, q_scratch_, moves[i],
-               /*with_partials=*/false);
+    apply_move(scratch_, p_scratch_, q_scratch_, moves[i], /*partials=*/false);
   proposal_outstanding_ = true;
   return digitize(scratch_);
 }
@@ -385,13 +381,24 @@ void TiledTwoPhaseEvaluator::commit() {
   if (!proposal_outstanding_)
     throw std::logic_error("TiledTwoPhaseEvaluator::commit without propose()");
   proposal_outstanding_ = false;
-  // Replay the accepted moves into the committed per-tile state: the deltas
-  // recompute bit-identically (same tables, same starting counts), so the
-  // committed totals land exactly on the values digitize() scored.
+  // The proposal's totals are exactly the values digitize() scored: take
+  // them over, then replay the accepted moves into the per-tile partials
+  // (which walks the committed counts forward to the proposal's).
+  if (chip_.readout == ChipReadout::kIdealDigital) {
+    committed_.m.mv_units.swap(scratch_.m.mv_units);
+    committed_.nt.mv_units.swap(scratch_.nt.mv_units);
+    committed_.m.vmv_units = scratch_.m.vmv_units;
+    committed_.nt.vmv_units = scratch_.nt.vmv_units;
+    p_counts_.swap(p_scratch_);
+    q_counts_.swap(q_scratch_);
+    return;  // exact integers: no partials, no drift
+  }
+  committed_.m.mv_total.swap(scratch_.m.mv_total);
+  committed_.nt.mv_total.swap(scratch_.nt.mv_total);
+  committed_.m.vmv_total = scratch_.m.vmv_total;
+  committed_.nt.vmv_total = scratch_.nt.vmv_total;
   for (const core::TickMove& mv : pending_)
-    apply_move(committed_, p_counts_, q_counts_, mv, /*with_partials=*/true);
-  pending_.clear();
-  if (chip_.readout == ChipReadout::kIdealDigital) return;  // exact, no drift
+    apply_move(committed_, p_counts_, q_counts_, mv, /*partials=*/true);
   if (++commits_since_refresh_ >= config_.refresh_interval) {
     commits_since_refresh_ = 0;
     ++refresh_count_;

@@ -1,24 +1,41 @@
 #pragma once
-// chip::TiledTwoPhaseEvaluator — the two-phase MAX-QUBO evaluation (Fig. 6)
-// on the multi-tile chip: both logical crossbars (M and Nᵀ) are sharded over
-// grids of fixed-capacity tiles (chip/tiled_crossbar), the per-tile outputs
-// are merged by an H-tree adder stage, and the merged Phase-1 line currents
-// feed the existing WTA trees / ADCs unchanged.
+// chip::TiledTwoPhaseEvaluator — the two-phase hardware evaluation of the
+// MAX-QUBO objective (Fig. 6), the one implementation behind "hardware-sa"
+// and "hardware-sa-tiled".
 //
-// The committed analog state is held PER TILE: the Phase-1 partial line
-// currents per tile column and the Phase-2 partial totals per tile, plus the
-// aggregated totals the digitisation consumes. The incremental propose/
-// commit protocol routes every SA tick move to the affected tile row /
-// column only (O(m+n) per move, confined to 1/grid of the cell tables); a
-// committed proposal replays the same deltas into the per-tile state, and a
-// full re-read every `refresh_interval` commits bounds floating-point drift
-// exactly as in the monolithic evaluator.
+// Phase 1: both crossbars (M and Nᵀ) are read in matrix-vector mode (the
+//          other player's input fixed to the all-ones vector) producing the
+//          analog vectors Mq and Nᵀp; the WTA trees reduce them to max(Mq)
+//          and max(Nᵀp), which are digitised and recorded by the SA logic.
+// Phase 2: the crossbars are read in vector-matrix-vector mode giving pᵀMq
+//          and pᵀNq (the WTA trees are bypassed); the SA logic combines
+//          f = max(Mq) + max(Nᵀp) − pᵀMq − pᵀNq.
+//
+// Both logical crossbars are sharded over grids of fixed-capacity tiles
+// (chip/tiled_crossbar); the per-tile outputs are merged by an H-tree adder
+// stage and the merged Phase-1 line currents feed the WTA trees / ADCs.
+// "hardware-sa" is the degenerate chip: one tile sized to hold both arrays
+// whole (single_tile_chip), whose 1×1 grids have no aggregation stage.
+// Every SA iteration experiences device variability, WTA offset and ADC
+// quantization exactly as the architecture would.
+//
+// Incremental fast path (propose/commit protocol): a single SA tick move
+// changes one entry of p or q by ±1/I, so the architecture only re-drives
+// one word line / column group. The committed analog state is held PER
+// TILE — the Phase-1 partial line currents per tile column and the Phase-2
+// partial totals per tile — plus the aggregated totals the digitisation
+// consumes. A proposal routes every move to the affected tile row / column
+// (O(m+n) per move) and updates only the totals; WTA reduction, per-read
+// noise and ADC conversion are applied to the updated totals on every
+// proposal, so fidelity semantics and RNG draw order are identical to the
+// full-read path. A commit takes over the proposal's totals and replays the
+// moves into the per-tile partials; a full re-read every `refresh_interval`
+// commits bounds floating-point drift.
 //
 // Readout modes (ChipConfig::readout):
-//   * kAnalogHTree  — analog current summation + shared ADC. On a 1×1 grid
-//                     this consumes the monolithic evaluator's exact RNG draw
-//                     sequence, so results are byte-identical when the whole
-//                     game fits one tile.
+//   * kAnalogHTree  — analog current summation + shared ADC. A 1×1 grid
+//                     draws no aggregation noise, so its draw sequence is
+//                     that of the plain array whatever the tile size.
 //   * kPerTileAdc   — every tile output digitised by its own ADC, digital
 //                     aggregation and digital max. Per-tile quantisation
 //                     breaks delta linearity, so incremental() is disabled.
@@ -38,15 +55,34 @@
 #include "util/rng.hpp"
 #include "wta/wta_tree.hpp"
 #include "xbar/adc.hpp"
+#include "xbar/mapping.hpp"
 
 namespace cnash::chip {
+
+/// Mapped geometry of the two arrays a game programs — M (rows = player-1
+/// actions) and Nᵀ (rows = player-2 actions) — through the evaluator's
+/// shift / scale / coding pipeline. Pure arithmetic on the payoffs: no cell
+/// is programmed. Throws std::invalid_argument where the evaluator would
+/// (I == 0, value_scale <= 0, payoffs that do not code as integers).
+struct ArrayGeometry {
+  xbar::MappingGeometry m;
+  xbar::MappingGeometry nt;
+};
+ArrayGeometry mapped_geometry(const game::BimatrixGame& game,
+                              std::uint32_t intervals,
+                              const core::TwoPhaseConfig& config);
+
+/// "hardware-sa"'s chip: one tile just large enough to hold both arrays
+/// whole, read out through the analog path with no aggregation stage.
+ChipConfig single_tile_chip(const ArrayGeometry& geometry);
 
 class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
                                      public core::IncrementalEvaluator {
  public:
-  /// Programs both tile grids from the game. `config` carries the array /
-  /// WTA / ADC / value-coding knobs shared with the monolithic evaluator;
-  /// `chip` the tile dimensions and aggregation model.
+  /// Programs both tile grids from the game. `intervals` is the strategy
+  /// quantization I; `config` carries the array / WTA / ADC / value-coding
+  /// knobs, `chip` the tile dimensions and aggregation model; `rng` drives
+  /// the one-time device sampling and the per-read noise afterwards.
   ///
   /// `fault` (optional) is consumed during construction only: tile-failure
   /// rolls use scope base 0 for the M grid and kNtFaultScope for the Nᵀ grid.
@@ -57,6 +93,14 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
                          const core::TwoPhaseConfig& config,
                          const ChipConfig& chip, util::Rng rng,
                          const util::FaultPlan* fault = nullptr);
+
+  /// "hardware-sa"'s evaluator: the game on single_tile_chip().
+  TiledTwoPhaseEvaluator(const game::BimatrixGame& game,
+                         std::uint32_t intervals,
+                         const core::TwoPhaseConfig& config, util::Rng rng)
+      : TiledTwoPhaseEvaluator(
+            game, intervals, config,
+            single_tile_chip(mapped_geometry(game, intervals, config)), rng) {}
 
   /// Fault-roll index base of the Nᵀ grid's tiles (M grid starts at 0).
   static constexpr std::uint64_t kNtFaultScope = std::uint64_t{1} << 32;
@@ -108,7 +152,8 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
  private:
   /// Per-array analog + digital observables. Partials are maintained in the
   /// committed state only; proposals work on the aggregated totals (the
-  /// digitisation input) and replay into the partials on commit.
+  /// digitisation input), which a commit takes over before replaying the
+  /// moves into the partials.
   struct ArrayState {
     std::vector<double> mv_partial;   // grid_cols × n (analog readouts)
     std::vector<double> mv_total;     // n aggregated line currents
@@ -126,11 +171,11 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
   /// Full tile-grid read of one profile into `st` (partials + totals).
   void full_read(State& st, const std::vector<std::uint32_t>& p_counts,
                  const std::vector<std::uint32_t>& q_counts) const;
-  /// One tick move applied to `st` and the given counts. `with_partials`
-  /// additionally updates the per-tile partial buffers (commit path).
+  /// One tick move applied to the given counts and to either the totals
+  /// (proposal path) or the per-tile partials (commit path) of `st`.
   void apply_move(State& st, std::vector<std::uint32_t>& p_counts,
                   std::vector<std::uint32_t>& q_counts,
-                  const core::TickMove& mv, bool with_partials);
+                  const core::TickMove& mv, bool partials);
   /// Aggregation + WTA + noise + ADC on `st`; updates last_ and returns f.
   double digitize(const State& st);
   double digitize_analog(const State& st);

@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "chip/tiled_backend.hpp"
+#include "chip/tile_partition.hpp"
 #include "core/resilient.hpp"
 #include "core/timing.hpp"
 #include "game/lemke_howson.hpp"
@@ -141,7 +141,7 @@ SolveReport SolverBackend::solve(const SolveRequest& request) const {
   return report;
 }
 
-// ---- SA backends (hardware-sa / exact-sa) -----------------------------------
+// ---- SA backends (hardware-sa / hardware-sa-tiled / exact-sa) ---------------
 
 SaPreparedJob::SaPreparedJob(std::shared_ptr<const EvaluatorFactory> factory,
                              std::uint32_t intervals, SaOptions sa,
@@ -258,39 +258,54 @@ std::vector<SolveSample> SaPreparedJob::run_ensemble_unit(
 
 namespace {
 
+/// The SA backends. "hardware-sa" and "hardware-sa-tiled" share one
+/// evaluator factory and one prepare path: both take the array geometry from
+/// the game's CrossbarMapping, so preparing a job programs no chip.
+/// "hardware-sa" is the one-tile chip sized to hold both arrays whole — it
+/// ignores request.chip and request.fault, and models the latency of the
+/// plain M array.
 class SaBackend final : public SolverBackend {
  public:
-  explicit SaBackend(bool hardware)
-      : hardware_(hardware), name_(hardware ? "hardware-sa" : "exact-sa") {}
+  enum class Kind { kHardware, kTiled, kExact };
+
+  SaBackend(Kind kind, std::string name, std::string description)
+      : kind_(kind),
+        name_(std::move(name)),
+        description_(std::move(description)) {}
 
   const std::string& name() const override { return name_; }
-
-  std::string describe() const override {
-    return hardware_
-               ? "two-phase SA on the full FeFET crossbar/WTA/ADC model "
-                 "(runs, seed, intervals, sa, hardware, report_best)"
-               : "two-phase SA on the exact MAX-QUBO objective, ablation "
-                 "(runs, seed, intervals, sa, report_best)";
-  }
+  std::string describe() const override { return description_; }
 
   std::unique_ptr<PreparedJob> prepare(
       const SolveRequest& request) const override {
     std::shared_ptr<const EvaluatorFactory> factory;
     double modeled = 0.0;
-    if (hardware_) {
-      auto hw = std::make_shared<HardwareEvaluatorFactory>(
-          request.game, request.intervals, request.hardware,
-          util::Rng(request.seed));
-      // A reserved-key probe instance supplies the mapped array geometry for
-      // the latency model without perturbing any run's stream.
-      const auto probe = hw->create_hardware(kProbeInstanceKey);
-      modeled = CNashTimingModel().run_time_s(
-                    probe->crossbar_m().mapping().geometry(),
-                    request.sa.iterations) *
-                static_cast<double>(request.runs);
-      factory = std::move(hw);
-    } else {
+    if (kind_ == Kind::kExact) {
       factory = std::make_shared<ExactEvaluatorFactory>(request.game);
+    } else {
+      const chip::ArrayGeometry geometry = chip::mapped_geometry(
+          request.game, request.intervals, request.hardware);
+      const CNashTimingModel timing;
+      if (kind_ == Kind::kHardware) {
+        modeled = timing.run_time_s(geometry.m, request.sa.iterations);
+        factory = std::make_shared<HardwareEvaluatorFactory>(
+            request.game, request.intervals, request.hardware,
+            chip::single_tile_chip(geometry), util::Rng(request.seed));
+      } else {
+        const chip::TilePartition part(geometry.m, request.chip.tile_rows,
+                                       request.chip.tile_cols);
+        TileGridTiming grid;
+        grid.tile_rows = request.chip.tile_rows;
+        grid.tile_cols = request.chip.tile_cols;
+        grid.grid_rows = part.grid_rows();
+        grid.grid_cols = part.grid_cols();
+        grid.wta_inputs = request.game.num_actions1();
+        modeled = timing.tiled_run_time_s(grid, request.sa.iterations);
+        factory = std::make_shared<HardwareEvaluatorFactory>(
+            request.game, request.intervals, request.hardware, request.chip,
+            util::Rng(request.seed), request.fault);
+      }
+      modeled *= static_cast<double>(request.runs);
     }
     auto job = std::make_unique<SaPreparedJob>(
         std::move(factory), request.intervals, request.sa, request.report_best,
@@ -302,8 +317,9 @@ class SaBackend final : public SolverBackend {
   }
 
  private:
-  bool hardware_;
+  Kind kind_;
   std::string name_;
+  std::string description_;
 };
 
 // ---- D-Wave proxy backends --------------------------------------------------
@@ -532,9 +548,19 @@ std::vector<std::string> SolverRegistry::names() const {
 SolverRegistry& SolverRegistry::global() {
   static SolverRegistry* registry = [] {
     auto* r = new SolverRegistry;
-    r->add(std::make_unique<SaBackend>(true));
-    r->add(chip::make_tiled_backend());
-    r->add(std::make_unique<SaBackend>(false));
+    r->add(std::make_unique<SaBackend>(
+        SaBackend::Kind::kHardware, "hardware-sa",
+        "two-phase SA on the full FeFET crossbar/WTA/ADC model "
+        "(runs, seed, intervals, sa, hardware, report_best)"));
+    r->add(std::make_unique<SaBackend>(
+        SaBackend::Kind::kTiled, "hardware-sa-tiled",
+        "two-phase SA sharded across a grid of fixed-capacity crossbar tiles "
+        "with H-tree aggregation (runs, seed, intervals, sa, hardware, chip, "
+        "report_best)"));
+    r->add(std::make_unique<SaBackend>(
+        SaBackend::Kind::kExact, "exact-sa",
+        "two-phase SA on the exact MAX-QUBO objective, ablation "
+        "(runs, seed, intervals, sa, report_best)"));
     r->add(std::make_unique<DWaveBackend>(
         "dwave-2000q6", qubo::dwave_2000q6_config, dwave_2000q6_timing));
     r->add(std::make_unique<DWaveBackend>("dwave-advantage41",

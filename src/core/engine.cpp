@@ -30,24 +30,30 @@ std::unique_ptr<BatchedEvaluator> ExactEvaluatorFactory::create_batched(
   return std::make_unique<BatchedExactMaxQubo>(shared_, lanes);
 }
 
-HardwareEvaluatorFactory::HardwareEvaluatorFactory(game::BimatrixGame game,
-                                                   std::uint32_t intervals,
-                                                   TwoPhaseConfig config,
-                                                   util::Rng device_rng)
+HardwareEvaluatorFactory::HardwareEvaluatorFactory(
+    game::BimatrixGame game, std::uint32_t intervals, TwoPhaseConfig config,
+    chip::ChipConfig chip, util::Rng device_rng, util::FaultPlan fault)
     : game_(std::move(game)),
       intervals_(intervals),
       config_(config),
-      device_rng_(device_rng) {}
+      chip_(chip),
+      device_rng_(device_rng),
+      fault_(fault) {}
 
 std::unique_ptr<ObjectiveEvaluator> HardwareEvaluatorFactory::create(
     std::uint64_t key) const {
   return create_hardware(key);
 }
 
-std::unique_ptr<TwoPhaseEvaluator> HardwareEvaluatorFactory::create_hardware(
-    std::uint64_t key) const {
-  return std::make_unique<TwoPhaseEvaluator>(game_, intervals_, config_,
-                                             device_rng_.split(key));
+std::unique_ptr<chip::TiledTwoPhaseEvaluator>
+HardwareEvaluatorFactory::create_hardware(std::uint64_t key) const {
+  if (fault_.tile_failure_rate > 0.0) {
+    const util::FaultPlan plan = fault_.for_instance(key);
+    return std::make_unique<chip::TiledTwoPhaseEvaluator>(
+        game_, intervals_, config_, chip_, device_rng_.split(key), &plan);
+  }
+  return std::make_unique<chip::TiledTwoPhaseEvaluator>(
+      game_, intervals_, config_, chip_, device_rng_.split(key));
 }
 
 // ---- SolverEngine -----------------------------------------------------------

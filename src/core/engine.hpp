@@ -21,9 +21,12 @@
 #include <memory>
 #include <vector>
 
+#include "chip/chip_config.hpp"
+#include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
 #include "core/sample.hpp"
 #include "core/two_phase.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace cnash::core {
@@ -32,6 +35,9 @@ namespace cnash::core {
 /// keys 2r and 2r+1, so this largest odd key could only collide with run
 /// index (2^64 - 2) / 2 — unreachable in practice.
 inline constexpr std::uint64_t kProbeInstanceKey = ~0ULL;
+
+/// The hardware evaluator, by the name perfbench/src/layers.cpp uses.
+using TwoPhaseEvaluator = chip::TiledTwoPhaseEvaluator;
 
 /// Creates fresh, thread-confined evaluator instances for the service's
 /// workers. `instance_key` addresses the instance's RNG stream
@@ -66,24 +72,48 @@ class ExactEvaluatorFactory final : public EvaluatorFactory {
   std::shared_ptr<const ExactMaxQubo::Shared> shared_;
 };
 
-/// Full hardware model: each instance programs its own bi-crossbar / WTA /
-/// ADC stack with device variability sampled from the keyed split of
-/// `device_rng` — the Monte-Carlo-over-chips view of the architecture.
+/// The hardware model behind "hardware-sa" and "hardware-sa-tiled": each
+/// instance programs its own tiled bi-crossbar / WTA / ADC stack with device
+/// variability sampled from the keyed split of `device_rng` — the
+/// Monte-Carlo-over-chips view of the architecture.
 class HardwareEvaluatorFactory final : public EvaluatorFactory {
  public:
+  /// `fault` (default disabled) is re-keyed per instance — create(key) rolls
+  /// tile failures under fault.for_instance(key) — so the same run fails the
+  /// same way on every retry/worker, independently of the other runs.
   HardwareEvaluatorFactory(game::BimatrixGame game, std::uint32_t intervals,
-                           TwoPhaseConfig config, util::Rng device_rng);
+                           TwoPhaseConfig config, chip::ChipConfig chip,
+                           util::Rng device_rng, util::FaultPlan fault = {});
+  /// "hardware-sa"'s factory: the game on chip::single_tile_chip(). Also
+  /// the constructor perfbench/src/layers.cpp uses.
+  HardwareEvaluatorFactory(const game::BimatrixGame& game,
+                           std::uint32_t intervals, TwoPhaseConfig config,
+                           util::Rng device_rng)
+      : HardwareEvaluatorFactory(
+            game, intervals, config,
+            chip::single_tile_chip(
+                chip::mapped_geometry(game, intervals, config)),
+            device_rng) {}
+
   const game::BimatrixGame& game() const override { return game_; }
   std::uint32_t intervals() const { return intervals_; }
   std::unique_ptr<ObjectiveEvaluator> create(std::uint64_t key) const override;
-  /// Typed variant for crossbar / WTA / ADC introspection.
-  std::unique_ptr<TwoPhaseEvaluator> create_hardware(std::uint64_t key) const;
+  /// Typed variant for tile-grid / WTA / ADC introspection.
+  std::unique_ptr<chip::TiledTwoPhaseEvaluator> create_hardware(
+      std::uint64_t key) const;
+  /// create_hardware() by the name perfbench/src/layers.cpp uses.
+  std::unique_ptr<chip::TiledTwoPhaseEvaluator> create_tiled(
+      std::uint64_t key) const {
+    return create_hardware(key);
+  }
 
  private:
   game::BimatrixGame game_;
   std::uint32_t intervals_;
   TwoPhaseConfig config_;
+  chip::ChipConfig chip_;
   util::Rng device_rng_;
+  util::FaultPlan fault_;
 };
 
 struct EngineOptions {

@@ -57,7 +57,9 @@ class CNashSolver {
   ObjectiveEvaluator& evaluator() { return *probe_; }
 
   /// Hardware probe access (nullptr when use_hardware is false).
-  const TwoPhaseEvaluator* hardware() const { return probe_hardware_; }
+  const chip::TiledTwoPhaseEvaluator* hardware() const {
+    return probe_hardware_;
+  }
 
   /// One annealing run (continues the engine's run-index sequence).
   SolveSample solve_once();
@@ -81,7 +83,7 @@ class CNashSolver {
   CNashConfig config_;
   SolverEngine engine_;
   std::unique_ptr<ObjectiveEvaluator> probe_;
-  TwoPhaseEvaluator* probe_hardware_ = nullptr;  // borrowed view of probe_
+  chip::TiledTwoPhaseEvaluator* probe_hardware_ = nullptr;  // view of probe_
 };
 
 }  // namespace cnash::core

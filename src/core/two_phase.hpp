@@ -1,36 +1,13 @@
 #pragma once
-// The two-phase hardware evaluation of the MAX-QUBO objective (Fig. 6).
-//
-// Phase 1: both crossbars are read in matrix-vector mode (the other player's
-//          input fixed to the all-ones vector) producing the analog vectors
-//          Mq and Nᵀp; the WTA trees reduce them to max(Mq) and max(Nᵀp),
-//          which are digitised and recorded by the SA logic.
-// Phase 2: the crossbars are read in vector-matrix-vector mode giving pᵀMq
-//          and pᵀNq (the WTA trees are bypassed); the SA logic combines
-//          f = max(Mq) + max(Nᵀp) − pᵀMq − pᵀNq.
-//
-// The evaluator owns two programmed crossbars (M and Nᵀ), two WTA trees and
-// the ADCs, so every SA iteration experiences device variability, WTA offset
-// and ADC quantization exactly as the architecture would.
-//
-// Incremental fast path (propose/commit protocol): a single SA tick move
-// changes one entry of p or q by ±1/I, so the architecture only re-drives one
-// word line / column group. The evaluator mirrors that: it carries the
-// committed analog state (Phase-1 line currents, Phase-2 total currents) and
-// updates it per move through the crossbars' O(n)/O(m) delta kernels instead
-// of a full O(n·m) re-read. WTA reduction, per-read noise and ADC conversion
-// are applied to the *updated analog currents* on every proposal, so fidelity
-// semantics (and rng draw order) are identical to the full-read path; a full
-// re-read every `refresh_interval` commits bounds floating-point drift.
+// Knobs of the two-phase hardware evaluation (Fig. 6): the crossbar array,
+// WTA, ADC and value-coding parameters every "hardware-sa" /
+// "hardware-sa-tiled" evaluator is programmed with. The evaluator itself is
+// chip::TiledTwoPhaseEvaluator (chip/tiled_two_phase.hpp).
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "core/maxqubo.hpp"
-#include "util/rng.hpp"
 #include "wta/wta_tree.hpp"
-#include "xbar/adc.hpp"
 #include "xbar/array.hpp"
 
 namespace cnash::core {
@@ -56,90 +33,6 @@ struct TwoPhaseConfig {
   /// Commits between full crossbar re-reads on the incremental path (bounds
   /// accumulated floating-point drift of the analog state).
   std::size_t refresh_interval = 1024;
-};
-
-class TwoPhaseEvaluator final : public ObjectiveEvaluator,
-                                public IncrementalEvaluator {
- public:
-  /// Programs both crossbars from the game. `intervals` is the strategy
-  /// quantization I; `rng` drives the one-time device sampling and the
-  /// per-read noise afterwards.
-  TwoPhaseEvaluator(game::BimatrixGame game, std::uint32_t intervals,
-                    const TwoPhaseConfig& config, util::Rng rng);
-
-  double evaluate(const game::QuantizedProfile& profile) override;
-  const game::BimatrixGame& game() const override { return game_; }
-  IncrementalEvaluator* incremental() override {
-    return config_.incremental ? this : nullptr;
-  }
-
-  // IncrementalEvaluator protocol: O(m+n) per tick move, same noise/ADC
-  // semantics and rng draw sequence per scoring as evaluate().
-  void reset(const game::QuantizedProfile& profile) override;
-  double propose(const TickMove* moves, std::size_t count) override;
-  void commit() override;
-
-  /// Full crossbar re-reads performed by the incremental path since reset()
-  /// (drift refreshes; excludes the priming read of reset() itself).
-  std::size_t refresh_count() const { return refresh_count_; }
-
-  /// Phase observables of the last evaluate()/propose() call, in payoff units.
-  struct PhaseReadout {
-    double max_mq;
-    double max_ntp;
-    double vmv_m;
-    double vmv_n;
-  };
-  const PhaseReadout& last_readout() const { return last_; }
-
-  std::uint32_t intervals() const { return intervals_; }
-  const xbar::ProgrammedCrossbar& crossbar_m() const { return *xbar_m_; }
-  const xbar::ProgrammedCrossbar& crossbar_nt() const { return *xbar_nt_; }
-  const wta::WtaTree& wta_rows() const { return *wta_rows_; }
-  const wta::WtaTree& wta_cols() const { return *wta_cols_; }
-  const xbar::Adc& adc() const { return *adc_m_; }
-
- private:
-  /// Analog observables of one profile, before WTA/noise/ADC: the Phase-1
-  /// source-line current vectors and the Phase-2 total array currents.
-  struct AnalogState {
-    std::vector<double> mv_m;   // n line currents of the M array
-    std::vector<double> mv_nt;  // m line currents of the Nᵀ array
-    double vmv_m = 0.0;         // total M-array current (pᵀMq)
-    double vmv_nt = 0.0;        // total Nᵀ-array current (qᵀNᵀp = pᵀNq)
-  };
-
-  void full_read(AnalogState& st, const std::vector<std::uint32_t>& p_counts,
-                 const std::vector<std::uint32_t>& q_counts) const;
-  /// One tick move applied to the analog state and the scratch counts.
-  void apply_move_analog(AnalogState& st, const TickMove& mv);
-  /// WTA + noise + ADC on the analog state; updates last_ and returns f.
-  double digitize(const AnalogState& st);
-
-  game::BimatrixGame game_;       // original payoffs
-  std::uint32_t intervals_;
-  TwoPhaseConfig config_;
-  util::Rng rng_;
-  double value_scale_;
-  std::unique_ptr<xbar::ProgrammedCrossbar> xbar_m_;   // stores shifted M
-  std::unique_ptr<xbar::ProgrammedCrossbar> xbar_nt_;  // stores shifted Nᵀ
-  std::unique_ptr<wta::WtaTree> wta_rows_;  // max over n row payoffs
-  std::unique_ptr<wta::WtaTree> wta_cols_;  // max over m column payoffs
-  std::unique_ptr<xbar::Adc> adc_m_;
-  std::unique_ptr<xbar::Adc> adc_nt_;
-  PhaseReadout last_{};
-
-  // Incremental state: committed counts + analog observables, their scratch
-  // copies for the outstanding proposal, and reusable workspaces.
-  std::vector<std::uint32_t> p_counts_, q_counts_;    // committed
-  std::vector<std::uint32_t> p_scratch_, q_scratch_;  // proposal
-  AnalogState committed_, scratch_;
-  AnalogState eval_state_;  // evaluate()'s workspace, independent of proposals
-  std::vector<double> wta_scratch_;
-  bool primed_ = false;
-  bool proposal_outstanding_ = false;
-  std::size_t commits_since_refresh_ = 0;
-  std::size_t refresh_count_ = 0;
 };
 
 }  // namespace cnash::core

@@ -2,8 +2,11 @@
 // tiles, non-square games), tile reads vs the monolithic array, the tiled
 // two-phase evaluator's per-tile incremental state, and the two acceptance
 // contracts:
-//   * a 1×1 tile grid byte-reproduces the monolithic evaluator (identical
-//     RNG draw sequence, identical SA trajectories, full non-idealities on);
+//   * a 1×1 tile grid of any tile size byte-reproduces the monolithic array
+//     ("hardware-sa": one tile sized to the game) — identical RNG draw
+//     sequence, identical SA trajectories, full non-idealities on — and both
+//     reproduce values pinned from the former standalone monolithic
+//     evaluator;
 //   * the noise-off digital readout of a 128×128-action integer game is
 //     bit-identical to core::ExactMaxQubo on every SA trajectory (power-of-
 //     two interval count makes both sides exact rational arithmetic).
@@ -20,7 +23,6 @@
 #include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
 #include "core/maxqubo.hpp"
-#include "core/two_phase.hpp"
 #include "game/games.hpp"
 #include "game/random_games.hpp"
 #include "util/rng.hpp"
@@ -232,12 +234,13 @@ TEST(TiledCrossbar, DeltaKernelsMatchFullReads) {
 
 TEST(TiledTwoPhase, SingleTileByteReproducesMonolithicEvaluator) {
   // Full non-idealities ON: device variability, WTA offsets + read noise,
-  // ADC quantisation + noise. The tiled evaluator mirrors the monolithic
-  // constructor and digitisation draw sequence exactly, so every evaluation
-  // is bit-identical when the whole game fits one tile.
+  // ADC quantisation + noise. A 1×1 grid has no aggregation stage, so the
+  // tile size changes neither the programmed cells nor the digitisation draw
+  // sequence: an oversized tile evaluates bit-identically to the one sized
+  // to the game.
   const game::BimatrixGame g = game::bird_game();
   const core::TwoPhaseConfig cfg;  // realistic defaults
-  core::TwoPhaseEvaluator mono(g, 12, cfg, util::Rng(0xA5A5));
+  TiledTwoPhaseEvaluator mono(g, 12, cfg, util::Rng(0xA5A5));
   TiledTwoPhaseEvaluator tiled(g, 12, cfg, chip_grid(1024, 4096),
                                util::Rng(0xA5A5));
   ASSERT_EQ(tiled.chip_m().partition().num_tiles(), 1u);
@@ -261,14 +264,14 @@ TEST(TiledTwoPhase, SingleTileByteReproducesMonolithicEvaluator) {
 
 TEST(TiledTwoPhase, SingleTileSaTrajectoryIsByteIdentical) {
   // The incremental propose/commit path (the one SA exercises) replays the
-  // monolithic trajectory move for move: same accepted count, same final /
-  // best profiles and bitwise-identical objectives.
+  // monolithic trajectory move for move on an oversized tile: same accepted
+  // count, same final / best profiles and bitwise-identical objectives.
   const game::BimatrixGame g = game::battle_of_sexes();
   const core::TwoPhaseConfig cfg;  // realistic defaults, incremental on
   core::SaOptions sa;
   sa.iterations = 4000;
 
-  core::TwoPhaseEvaluator mono(g, 12, cfg, util::Rng(77));
+  TiledTwoPhaseEvaluator mono(g, 12, cfg, util::Rng(77));
   TiledTwoPhaseEvaluator tiled(g, 12, cfg, chip_grid(1024, 4096),
                                util::Rng(77));
   ASSERT_NE(tiled.incremental(), nullptr);
@@ -303,7 +306,7 @@ TEST(TiledTwoPhase, MultiTileNoiseOffMatchesMonolithic) {
                              random_integer_matrix(10, 9, 4, game_rng),
                              "multi-tile");
   const core::TwoPhaseConfig cfg = ideal_config();
-  core::TwoPhaseEvaluator mono(g, 8, cfg, util::Rng(4));
+  TiledTwoPhaseEvaluator mono(g, 8, cfg, util::Rng(4));
   TiledTwoPhaseEvaluator tiled(g, 8, cfg, chip_grid(16, 96), util::Rng(4));
   ASSERT_GT(tiled.chip_m().partition().num_tiles(), 4u);
 

@@ -156,7 +156,7 @@ TEST(SolverFacade, ProbeEvaluatorDoesNotPerturbRuns) {
   CNashSolver with_probe(game::battle_of_sexes(), cfg);
   ASSERT_NE(with_probe.hardware(), nullptr);
   // Inspect the probe before running; run outcomes must not shift.
-  (void)with_probe.hardware()->crossbar_m().mapping().geometry();
+  (void)with_probe.hardware()->chip_m().mapping().geometry();
   CNashSolver untouched(game::battle_of_sexes(), cfg);
   EXPECT_EQ(fingerprint(with_probe.run(6)), fingerprint(untouched.run(6)));
 }

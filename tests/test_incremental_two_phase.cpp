@@ -9,13 +9,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
-#include "core/two_phase.hpp"
 #include "game/games.hpp"
 #include "util/rng.hpp"
 
 namespace cnash::core {
 namespace {
+
+using chip::TiledTwoPhaseEvaluator;
 
 TwoPhaseConfig noiseless_config() {
   TwoPhaseConfig cfg;
@@ -44,10 +46,10 @@ TickMove random_move(const game::QuantizedStrategy& s, TickMove::Player player,
 /// Random walk driving evaluator `inc` through propose/commit and `full`
 /// through whole-profile evaluate() on the same move sequence. Returns the
 /// largest |f_inc - f_full| seen.
-double walk_and_compare(TwoPhaseEvaluator& inc, TwoPhaseEvaluator& full,
-                        game::BimatrixGame g, std::uint32_t intervals,
-                        std::size_t steps, util::Rng& rng,
-                        bool expect_exact) {
+double walk_and_compare(TiledTwoPhaseEvaluator& inc,
+                        TiledTwoPhaseEvaluator& full, game::BimatrixGame g,
+                        std::uint32_t intervals, std::size_t steps,
+                        util::Rng& rng, bool expect_exact) {
   game::QuantizedProfile prof{
       game::QuantizedStrategy::random(g.num_actions1(), intervals, rng),
       game::QuantizedStrategy::random(g.num_actions2(), intervals, rng)};
@@ -88,8 +90,8 @@ TEST(IncrementalTwoPhase, MatchesFullReadBitForBitWithoutNoise) {
   // With noise disabled no rng is consumed per read, so the two evaluators
   // stay aligned by construction; the post-ADC readouts must agree exactly.
   const auto g = game::bird_game();
-  TwoPhaseEvaluator inc(g, 12, noiseless_config(), util::Rng(401));
-  TwoPhaseEvaluator full(g, 12, noiseless_config(), util::Rng(401));
+  TiledTwoPhaseEvaluator inc(g, 12, noiseless_config(), util::Rng(401));
+  TiledTwoPhaseEvaluator full(g, 12, noiseless_config(), util::Rng(401));
   util::Rng rng(402);
   walk_and_compare(inc, full, g, 12, 2000, rng, /*expect_exact=*/true);
 }
@@ -98,8 +100,8 @@ TEST(IncrementalTwoPhase, MatchesFullReadOnAsymmetricGame) {
   // 8x8 modified PD at I=60: the largest paper instance, exercising deep
   // group counts and both-player proposals.
   const auto g = game::modified_prisoners_dilemma();
-  TwoPhaseEvaluator inc(g, 60, noiseless_config(), util::Rng(403));
-  TwoPhaseEvaluator full(g, 60, noiseless_config(), util::Rng(403));
+  TiledTwoPhaseEvaluator inc(g, 60, noiseless_config(), util::Rng(403));
+  TiledTwoPhaseEvaluator full(g, 60, noiseless_config(), util::Rng(403));
   util::Rng rng(404);
   walk_and_compare(inc, full, g, 60, 1000, rng, /*expect_exact=*/true);
 }
@@ -111,13 +113,13 @@ TEST(IncrementalTwoPhase, TracksFullReadWithinAdcLsbUnderNoise) {
   // readout (4 readouts enter f).
   const auto g = game::bird_game();
   TwoPhaseConfig cfg;  // realistic defaults
-  TwoPhaseEvaluator inc(g, 12, cfg, util::Rng(405));
-  TwoPhaseEvaluator full(g, 12, cfg, util::Rng(405));
+  TiledTwoPhaseEvaluator inc(g, 12, cfg, util::Rng(405));
+  TiledTwoPhaseEvaluator full(g, 12, cfg, util::Rng(405));
   util::Rng rng(406);
   const double worst =
       walk_and_compare(inc, full, g, 12, 1500, rng, /*expect_exact=*/false);
   const double lsb_payoff =
-      inc.crossbar_m().current_to_value(inc.adc().lsb_current());
+      inc.chip_m().current_to_value(inc.adc().lsb_current());
   EXPECT_LE(worst, 8.0 * lsb_payoff);
 }
 
@@ -125,8 +127,8 @@ TEST(IncrementalTwoPhase, RefreshReReadsAtConfiguredInterval) {
   const auto g = game::battle_of_sexes();
   TwoPhaseConfig cfg = noiseless_config();
   cfg.refresh_interval = 16;
-  TwoPhaseEvaluator inc(g, 12, cfg, util::Rng(407));
-  TwoPhaseEvaluator full(g, 12, noiseless_config(), util::Rng(407));
+  TiledTwoPhaseEvaluator inc(g, 12, cfg, util::Rng(407));
+  TiledTwoPhaseEvaluator full(g, 12, noiseless_config(), util::Rng(407));
   util::Rng rng(408);
   game::QuantizedProfile prof{
       game::QuantizedStrategy::random(2, 12, rng),
@@ -145,8 +147,8 @@ TEST(IncrementalTwoPhase, RefreshReReadsAtConfiguredInterval) {
 }
 
 TEST(IncrementalTwoPhase, ProposeBeforeResetThrows) {
-  TwoPhaseEvaluator hw(game::battle_of_sexes(), 12, noiseless_config(),
-                       util::Rng(409));
+  TiledTwoPhaseEvaluator hw(game::battle_of_sexes(), 12, noiseless_config(),
+                            util::Rng(409));
   const TickMove mv{TickMove::Player::kRow, 0, 1};
   EXPECT_THROW(hw.propose(&mv, 1), std::logic_error);
   EXPECT_THROW(hw.commit(), std::logic_error);
@@ -156,8 +158,8 @@ TEST(IncrementalTwoPhase, IncrementalFlagGatesProtocol) {
   TwoPhaseConfig on = noiseless_config();
   TwoPhaseConfig off = noiseless_config();
   off.incremental = false;
-  TwoPhaseEvaluator hw_on(game::bird_game(), 12, on, util::Rng(410));
-  TwoPhaseEvaluator hw_off(game::bird_game(), 12, off, util::Rng(410));
+  TiledTwoPhaseEvaluator hw_on(game::bird_game(), 12, on, util::Rng(410));
+  TiledTwoPhaseEvaluator hw_off(game::bird_game(), 12, off, util::Rng(410));
   EXPECT_NE(hw_on.incremental(), nullptr);
   EXPECT_EQ(hw_off.incremental(), nullptr);
 }
@@ -170,8 +172,8 @@ TEST(IncrementalTwoPhase, SaTrajectoryIdenticalOnBothPaths) {
   TwoPhaseConfig on = noiseless_config();
   TwoPhaseConfig off = noiseless_config();
   off.incremental = false;
-  TwoPhaseEvaluator hw_on(g, 12, on, util::Rng(411));
-  TwoPhaseEvaluator hw_off(g, 12, off, util::Rng(411));
+  TiledTwoPhaseEvaluator hw_on(g, 12, on, util::Rng(411));
+  TiledTwoPhaseEvaluator hw_off(g, 12, off, util::Rng(411));
   SaOptions opts;
   opts.iterations = 3000;
   util::Rng rng_a(412), rng_b(412);

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/two_phase.hpp"
+#include "chip/tiled_two_phase.hpp"
 #include "game/games.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -105,13 +105,13 @@ TEST(Mlc, TwoPhaseEvaluatorWorksWithMlc) {
   core::TwoPhaseConfig cfg;
   cfg.levels_per_cell = 4;
   const auto g = game::bird_game();
-  core::TwoPhaseEvaluator hw(g, 12, cfg, util::Rng(9));
+  chip::TiledTwoPhaseEvaluator hw(g, 12, cfg, util::Rng(9));
   core::ExactMaxQubo exact(g);
   // The MLC array must be strictly smaller than the binary one.
   core::TwoPhaseConfig bin_cfg;
-  core::TwoPhaseEvaluator hw_bin(g, 12, bin_cfg, util::Rng(10));
-  EXPECT_LT(hw.crossbar_m().mapping().geometry().total_cells(),
-            hw_bin.crossbar_m().mapping().geometry().total_cells());
+  chip::TiledTwoPhaseEvaluator hw_bin(g, 12, bin_cfg, util::Rng(10));
+  EXPECT_LT(hw.chip_m().mapping().geometry().total_cells(),
+            hw_bin.chip_m().mapping().geometry().total_cells());
   util::Rng rng(11);
   util::RunningStats err;
   for (int t = 0; t < 100; ++t) {

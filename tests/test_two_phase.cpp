@@ -2,13 +2,15 @@
 
 #include <cmath>
 
-#include "core/two_phase.hpp"
+#include "chip/tiled_two_phase.hpp"
 #include "game/games.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace cnash::core {
 namespace {
+
+using chip::TiledTwoPhaseEvaluator;
 
 TwoPhaseConfig ideal_config() {
   TwoPhaseConfig cfg;
@@ -28,7 +30,7 @@ game::QuantizedProfile profile_from(const la::Vector& p, const la::Vector& q,
 
 TEST(TwoPhase, IdealHardwareMatchesExactObjective) {
   const auto g = game::battle_of_sexes();
-  TwoPhaseEvaluator hw(g, 12, ideal_config(), util::Rng(61));
+  TiledTwoPhaseEvaluator hw(g, 12, ideal_config(), util::Rng(61));
   ExactMaxQubo exact(g);
   util::Rng rng(62);
   for (int t = 0; t < 100; ++t) {
@@ -40,7 +42,7 @@ TEST(TwoPhase, IdealHardwareMatchesExactObjective) {
 
 TEST(TwoPhase, ZeroNearEquilibriaOnIdealHardware) {
   const auto g = game::battle_of_sexes();
-  TwoPhaseEvaluator hw(g, 12, ideal_config(), util::Rng(63));
+  TiledTwoPhaseEvaluator hw(g, 12, ideal_config(), util::Rng(63));
   EXPECT_NEAR(hw.evaluate(profile_from({1, 0}, {1, 0}, 12)), 0.0, 0.02);
   EXPECT_NEAR(hw.evaluate(profile_from({2.0 / 3, 1.0 / 3},
                                        {1.0 / 3, 2.0 / 3}, 12)),
@@ -50,7 +52,7 @@ TEST(TwoPhase, ZeroNearEquilibriaOnIdealHardware) {
 TEST(TwoPhase, RealisticHardwareTracksExactWithinBudget) {
   const auto g = game::bird_game();
   TwoPhaseConfig cfg;  // realistic non-idealities
-  TwoPhaseEvaluator hw(g, 12, cfg, util::Rng(64));
+  TiledTwoPhaseEvaluator hw(g, 12, cfg, util::Rng(64));
   ExactMaxQubo exact(g);
   util::Rng rng(65);
   util::RunningStats err;
@@ -67,7 +69,7 @@ TEST(TwoPhase, RealisticHardwareTracksExactWithinBudget) {
 
 TEST(TwoPhase, ReadoutComponentsExposed) {
   const auto g = game::battle_of_sexes();
-  TwoPhaseEvaluator hw(g, 12, ideal_config(), util::Rng(66));
+  TiledTwoPhaseEvaluator hw(g, 12, ideal_config(), util::Rng(66));
   const auto prof = profile_from({1, 0}, {0, 1}, 12);
   const double f = hw.evaluate(prof);
   const auto& r = hw.last_readout();
@@ -78,7 +80,7 @@ TEST(TwoPhase, WorksWithNegativePayoffGames) {
   // Matching pennies has negative payoffs; the internal shift must make the
   // objective work unchanged.
   const auto g = game::matching_pennies();
-  TwoPhaseEvaluator hw(g, 8, ideal_config(), util::Rng(67));
+  TiledTwoPhaseEvaluator hw(g, 8, ideal_config(), util::Rng(67));
   EXPECT_NEAR(hw.evaluate(profile_from({0.5, 0.5}, {0.5, 0.5}, 8)), 0.0, 0.02);
   EXPECT_GT(hw.evaluate(profile_from({1, 0}, {1, 0}, 8)), 0.5);
 }
@@ -90,15 +92,15 @@ TEST(TwoPhase, ValueScaleHandlesFractionalPayoffs) {
   const game::BimatrixGame g(m, n, "fractional");
   TwoPhaseConfig cfg = ideal_config();
   cfg.value_scale = 2.0;
-  TwoPhaseEvaluator hw(g, 8, cfg, util::Rng(68));
+  TiledTwoPhaseEvaluator hw(g, 8, cfg, util::Rng(68));
   ExactMaxQubo exact(g);
   const auto prof = profile_from({0.5, 0.5}, {0.25, 0.75}, 8);
   EXPECT_NEAR(hw.evaluate(prof), exact.evaluate(prof), 0.02);
 }
 
 TEST(TwoPhase, ProfileShapeMismatchThrows) {
-  TwoPhaseEvaluator hw(game::battle_of_sexes(), 12, ideal_config(),
-                       util::Rng(69));
+  TiledTwoPhaseEvaluator hw(game::battle_of_sexes(), 12, ideal_config(),
+                            util::Rng(69));
   game::QuantizedProfile wrong{game::QuantizedStrategy(3, 12),
                                game::QuantizedStrategy(2, 12)};
   EXPECT_THROW(hw.evaluate(wrong), std::invalid_argument);
@@ -111,7 +113,7 @@ TEST(TwoPhase, NonIntegerPayoffsRejectedWithoutScale) {
   la::Matrix m{{0.3, 0}, {0, 1}};
   const game::BimatrixGame g(m, m, "bad");
   EXPECT_THROW(
-      TwoPhaseEvaluator(g, 8, ideal_config(), util::Rng(70)),
+      TiledTwoPhaseEvaluator(g, 8, ideal_config(), util::Rng(70)),
       std::invalid_argument);
 }
 
