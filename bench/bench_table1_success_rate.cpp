@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", table.pretty().c_str());
   std::printf("Ground-truth targets: %zu / %zu / %zu equilibria "
-              "(paper: 3 / 6 / 25 — see DESIGN.md on the reconstruction).\n",
+              "(paper: 3 / 6 / 25 — see the README's benchmark game "
+              "substitutions).\n",
               evals[0].ground_truth.size(), evals[1].ground_truth.size(),
               evals[2].ground_truth.size());
   report.finish(static_cast<double>(total_runs));

@@ -20,13 +20,9 @@ BimatrixGame modified_prisoners_dilemma() {
   // Payoffs scaled by 10 to keep every entry an integer (hardware-friendly):
   //   actions 0..4 : cooperative ventures, pay 10 when both players focus on
   //                  the same venture, 0 against anything else;
-  //   action  5    : defect — guaranteed 3 against any cooperative venture,
+  //   action  5    : defect — guaranteed 1 against any cooperative venture,
   //                  -10 against defect or spite;
-  //   actions 6..7 : spite — always -50 (strictly dominated).
-  // Defect beats cooperation spread over >= 4 ventures (10/s < 3 for s >= 4)
-  // but loses to focused cooperation (10/s > 3 for s <= 3), which prunes the
-  // equilibrium set to supports of size <= 3 among the ventures:
-  //   C(5,1) + C(5,2) + C(5,3) = 5 + 10 + 10 = 25 equilibria.
+  //   actions 6..7 : spite — always -12 (strictly dominated).
   constexpr std::size_t kActions = 8;
   la::Matrix a(kActions, kActions, 0.0);
   for (std::size_t v = 0; v < 5; ++v) a(v, v) = 10.0;
@@ -35,8 +31,9 @@ BimatrixGame modified_prisoners_dilemma() {
   // and defect-vs-defect is mutually destructive; the spite actions are
   // strictly dominated. Every equilibrium therefore lives on the ventures:
   // C(5,1)+...+C(5,5) = 31 equilibria (index sum 5-10+10-5+1 = +1, consistent
-  // with the index theorem — see DESIGN.md on why the paper's target of 25 is
-  // not realisable by a non-degenerate game of this shape).
+  // with the index theorem — see the README's game substitutions on why the
+  // paper's target of 25 is not realisable by a non-degenerate game of this
+  // shape).
   for (std::size_t j = 0; j < 5; ++j) a(5, j) = 1.0;
   for (std::size_t j = 5; j < kActions; ++j) a(5, j) = -10.0;
   for (std::size_t i = 6; i < kActions; ++i)

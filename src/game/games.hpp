@@ -5,9 +5,10 @@
 // "Battle of the Sexes" (2 actions), "Bird Game" (3 actions) and "Modified
 // Prisoner's Dilemma" (8 actions). Only Battle of the Sexes is fully specified
 // by the open literature; the other two payoff matrices are reconstructed here
-// (see DESIGN.md, Substitutions) with the published action counts and a rich
-// set of pure *and* mixed equilibria, all representable on the I=12
-// quantization grid so the C-Nash hardware can express them exactly.
+// (README, "Benchmark game substitutions") with the published action counts
+// and a rich set of pure *and* mixed equilibria, all representable on the
+// instance's quantization grid so the C-Nash hardware can express them
+// exactly.
 //
 // Classic 2x2/3x3 games are included for unit tests and examples.
 
@@ -34,7 +35,7 @@ BimatrixGame battle_of_sexes();
 /// Bird Game (reconstructed): two birds choosing among three nesting
 /// behaviours with coordination payoffs diag(2,2,1). 7 NE: 3 pure, 3 pairwise
 /// mixed, 1 full-support mixed — all with denominators dividing 12.
-/// (Paper target is 6 solutions; see DESIGN.md.)
+/// (Paper target is 6 solutions; see the README's game substitutions.)
 BimatrixGame bird_game();
 
 /// Modified Prisoner's Dilemma (reconstructed, 8 actions): five cooperative
@@ -44,7 +45,8 @@ BimatrixGame bird_game();
 /// spiteful actions that are strictly dominated. 31 NE: 5 pure + 26 mixed
 /// (uniform on every venture subset), all with denominators dividing 60.
 /// (Paper target is 25 solutions; an index-theorem argument shows 25 cannot
-/// be realised by a non-degenerate game of the paper's flavour — DESIGN.md.)
+/// be realised by a non-degenerate game of the paper's flavour — see the
+/// README's game substitutions.)
 BimatrixGame modified_prisoners_dilemma();
 
 // -- Classic games for tests/examples ---------------------------------------
