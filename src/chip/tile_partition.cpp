@@ -22,6 +22,10 @@ TilePartition::TilePartition(const xbar::MappingGeometry& geom,
   cols_per_tile_ = tile_cols_ / block_cols;
   grid_rows_ = (geom.n + rows_per_tile_ - 1) / rows_per_tile_;
   grid_cols_ = (geom.m + cols_per_tile_ - 1) / cols_per_tile_;
+  row_tile_.resize(geom.n);
+  for (std::size_t i = 0; i < geom.n; ++i) row_tile_[i] = i / rows_per_tile_;
+  col_tile_.resize(geom.m);
+  for (std::size_t j = 0; j < geom.m; ++j) col_tile_[j] = j / cols_per_tile_;
 }
 
 TileRange TilePartition::range(std::size_t tr, std::size_t tc) const {

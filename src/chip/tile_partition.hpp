@@ -10,6 +10,7 @@
 // the same fixed-size arrays with unused lines.
 
 #include <cstddef>
+#include <vector>
 
 #include "xbar/mapping.hpp"
 
@@ -42,8 +43,8 @@ class TilePartition {
   std::size_t num_tiles() const { return grid_rows_ * grid_cols_; }
 
   /// Grid coordinates of the tile holding element row i / column j.
-  std::size_t tile_of_row(std::size_t i) const { return i / rows_per_tile_; }
-  std::size_t tile_of_col(std::size_t j) const { return j / cols_per_tile_; }
+  std::size_t tile_of_row(std::size_t i) const { return row_tile_[i]; }
+  std::size_t tile_of_col(std::size_t j) const { return col_tile_[j]; }
 
   /// Element ranges of tile (tr, tc); the last row/column may be partial.
   TileRange range(std::size_t tr, std::size_t tc) const;
@@ -53,6 +54,9 @@ class TilePartition {
   std::size_t tile_rows_, tile_cols_;
   std::size_t rows_per_tile_, cols_per_tile_;
   std::size_t grid_rows_, grid_cols_;
+  // Element row / column -> grid index, tabulated: every SA tick move routes
+  // through these, and a table lookup is cheaper than a division.
+  std::vector<std::size_t> row_tile_, col_tile_;
 };
 
 }  // namespace cnash::chip

@@ -23,9 +23,11 @@ TiledCrossbar::TiledCrossbar(const la::Matrix& payoff, std::uint32_t intervals,
   // the GLOBAL cells-per-element so block geometry is uniform across tiles
   // (and a 1×1 grid is byte-for-byte the monolithic array).
   tiles_.reserve(part_.num_tiles());
+  ranges_.reserve(part_.num_tiles());
   for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
     for (std::size_t tc = 0; tc < part_.grid_cols(); ++tc) {
       const TileRange r = part_.range(tr, tc);
+      ranges_.push_back(r);
       la::Matrix sub(r.rows(), r.cols());
       for (std::size_t i = r.i0; i < r.i1; ++i)
         for (std::size_t j = r.j0; j < r.j1; ++j)
@@ -113,11 +115,12 @@ void TiledCrossbar::mv_group_delta(std::size_t j, std::uint32_t g_old,
 void TiledCrossbar::mv_group_delta_total(std::size_t j, std::uint32_t g_old,
                                          std::uint32_t g_new,
                                          double* total) const {
-  const std::size_t tc = part_.tile_of_col(j);
-  for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
-    if (tile_dead(tr, tc)) continue;
-    const TileRange r = part_.range(tr, tc);
-    tile(tr, tc).mv_group_delta(j - r.j0, g_old, g_new, total + r.i0);
+  // Tile column tile_of_col(j), top to bottom: grid row-major stride.
+  const std::size_t gc = part_.grid_cols();
+  for (std::size_t t = part_.tile_of_col(j); t < tiles_.size(); t += gc) {
+    if (dead_at(t)) continue;
+    const TileRange& r = ranges_[t];
+    tiles_[t].mv_group_delta(j - r.j0, g_old, g_new, total + r.i0);
   }
 }
 
@@ -140,14 +143,15 @@ double TiledCrossbar::vmv_row_delta(std::size_t i, std::uint32_t r_old,
                                     std::uint32_t r_new,
                                     const std::uint32_t* groups_active,
                                     double* vmv_cells) const {
-  const std::size_t tr = part_.tile_of_row(i);
+  // Tile row tile_of_row(i), left to right.
+  const std::size_t first = part_.tile_of_row(i) * part_.grid_cols();
   double total = 0.0;
-  for (std::size_t tc = 0; tc < part_.grid_cols(); ++tc) {
-    if (tile_dead(tr, tc)) continue;
-    const TileRange r = part_.range(tr, tc);
-    const double d = tile(tr, tc).vmv_row_delta(i - r.i0, r_old, r_new,
-                                                groups_active + r.j0);
-    if (vmv_cells) vmv_cells[tr * part_.grid_cols() + tc] += d;
+  for (std::size_t t = first; t < first + part_.grid_cols(); ++t) {
+    if (dead_at(t)) continue;
+    const TileRange& r = ranges_[t];
+    const double d =
+        tiles_[t].vmv_row_delta(i - r.i0, r_old, r_new, groups_active + r.j0);
+    if (vmv_cells) vmv_cells[t] += d;
     total += d;
   }
   return total;
@@ -157,14 +161,14 @@ double TiledCrossbar::vmv_group_delta(std::size_t j, std::uint32_t g_old,
                                       std::uint32_t g_new,
                                       const std::uint32_t* rows_active,
                                       double* vmv_cells) const {
-  const std::size_t tc = part_.tile_of_col(j);
+  const std::size_t gc = part_.grid_cols();
   double total = 0.0;
-  for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
-    if (tile_dead(tr, tc)) continue;
-    const TileRange r = part_.range(tr, tc);
-    const double d = tile(tr, tc).vmv_group_delta(j - r.j0, g_old, g_new,
-                                                  rows_active + r.i0);
-    if (vmv_cells) vmv_cells[tr * part_.grid_cols() + tc] += d;
+  for (std::size_t t = part_.tile_of_col(j); t < tiles_.size(); t += gc) {
+    if (dead_at(t)) continue;
+    const TileRange& r = ranges_[t];
+    const double d = tiles_[t].vmv_group_delta(j - r.j0, g_old, g_new,
+                                               rows_active + r.i0);
+    if (vmv_cells) vmv_cells[t] += d;
     total += d;
   }
   return total;

@@ -73,7 +73,7 @@ class TiledCrossbar {
   /// Grid row-major indices of tiles whose program-time read-back failed.
   const std::vector<std::size_t>& failed_tiles() const { return failed_; }
   bool tile_dead(std::size_t tr, std::size_t tc) const {
-    return !dead_.empty() && dead_[tr * part_.grid_cols() + tc] != 0;
+    return dead_at(tr * part_.grid_cols() + tc);
   }
 
   /// The logical (whole-matrix) mapping.
@@ -156,10 +156,12 @@ class TiledCrossbar {
 
  private:
   void read_back_check();
+  bool dead_at(std::size_t t) const { return !dead_.empty() && dead_[t] != 0; }
 
   xbar::CrossbarMapping global_;
   TilePartition part_;
   std::vector<xbar::ProgrammedCrossbar> tiles_;  // grid row-major
+  std::vector<TileRange> ranges_;                // tiles_' element ranges
   std::uint32_t max_element_ = 0;
   std::vector<std::uint8_t> dead_;     // empty when no faults were injected
   std::vector<std::size_t> failed_;    // read-back failures, grid row-major
