@@ -4,6 +4,7 @@
 // registry:
 //
 //   "hardware-sa"       two-phase SA on the full FeFET crossbar/WTA/ADC model
+//                       (chip/: one tile sized to the game)
 //   "hardware-sa-tiled" two-phase SA on the multi-tile chip model (chip/)
 //   "exact-sa"          two-phase SA on the exact MAX-QUBO objective (ablation)
 //   "dwave-2000q6"      S-QUBO annealer proxy, 2000 Q6 flavour
@@ -201,7 +202,7 @@ class SolverRegistry {
   std::vector<std::unique_ptr<SolverBackend>> backends_;
 };
 
-/// The SA job shared by the hardware-sa / exact-sa backends and the
+/// The SA job shared by the hardware-sa[-tiled] / exact-sa backends and the
 /// SolverEngine.
 ///
 /// Independent mode: runs are grouped into lockstep batches of
