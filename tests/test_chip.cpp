@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -294,6 +295,33 @@ TEST(TiledTwoPhase, SingleTileSaTrajectoryIsByteIdentical) {
   EXPECT_EQ(ra.final_profile.p.counts(), (std::vector<std::uint32_t>{8, 4}));
   EXPECT_EQ(ra.final_profile.q.counts(), (std::vector<std::uint32_t>{4, 8}));
   EXPECT_EQ(mono.refresh_count(), 0u);
+}
+
+TEST(TiledTwoPhase, HardwareSaChipIsOneTileHoldingBothArrays) {
+  // "hardware-sa"'s tile is sized from the mapped geometry of both arrays,
+  // so on a non-square game with unequal cells per element neither array
+  // spills into a second tile.
+  util::Rng game_rng(4545);
+  const game::BimatrixGame wide(random_integer_matrix(3, 7, 2, game_rng),
+                                random_integer_matrix(3, 7, 5, game_rng),
+                                "wide");
+  const game::BimatrixGame tall(random_integer_matrix(7, 3, 5, game_rng),
+                                random_integer_matrix(7, 3, 2, game_rng),
+                                "tall");
+  for (const game::BimatrixGame* g : {&wide, &tall}) {
+    const ArrayGeometry geom = mapped_geometry(*g, 8, ideal_config());
+    const ChipConfig chip = single_tile_chip(geom);
+    EXPECT_EQ(chip.tile_rows,
+              std::max(geom.m.total_rows(), geom.nt.total_rows()));
+    EXPECT_EQ(chip.tile_cols,
+              std::max(geom.m.total_cols(), geom.nt.total_cols()));
+    EXPECT_EQ(chip.readout, ChipReadout::kAnalogHTree);
+    TiledTwoPhaseEvaluator ev(*g, 8, ideal_config(), util::Rng(1));
+    EXPECT_EQ(ev.chip_m().partition().num_tiles(), 1u) << g->name();
+    EXPECT_EQ(ev.chip_nt().partition().num_tiles(), 1u) << g->name();
+    EXPECT_EQ(ev.chip_config().tile_rows, chip.tile_rows);
+    EXPECT_EQ(ev.chip_config().tile_cols, chip.tile_cols);
+  }
 }
 
 // ---- Multi-tile evaluation fidelity -----------------------------------------
