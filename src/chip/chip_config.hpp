@@ -13,8 +13,9 @@ namespace cnash::chip {
 /// How tile outputs are merged and digitised.
 enum class ChipReadout {
   /// Analog H-tree current summation, then the shared per-array ADC — the
-  /// default, and the mode that degenerates to the monolithic datapath on a
-  /// 1×1 grid (byte-identical results when the whole game fits one tile).
+  /// default, and the mode that degenerates to the plain-array datapath of
+  /// "hardware-sa" on a 1×1 grid (byte-identical results whatever the tile
+  /// size).
   kAnalogHTree,
   /// Every tile output is digitised by its own ADC and the codes are summed
   /// digitally in the H-tree. Robust to aggregation-wire noise but pays one
@@ -39,7 +40,7 @@ struct ChipConfig {
   /// Input-referred Gaussian noise of one H-tree aggregation, relative to the
   /// shared ADC full scale, applied once per aggregated output per read and
   /// scaled by sqrt(tree depth). 0 = ideal adders (and no RNG draws, so a
-  /// 1×1 grid reproduces the monolithic draw sequence exactly).
+  /// 1×1 grid reproduces "hardware-sa"'s draw sequence exactly).
   double aggregation_noise_rel = 0.0;
 };
 

@@ -231,7 +231,7 @@ TEST(TiledCrossbar, DeltaKernelsMatchFullReads) {
     EXPECT_NEAR(grid[k], fresh_grid[k], 1e-9 * (std::abs(fresh_grid[k]) + 1e-15));
 }
 
-// ---- 1×1 grid byte-reproduces the monolithic evaluator ----------------------
+// ---- 1×1 grid byte-reproduces hardware-sa's one-tile chip -------------------
 
 TEST(TiledTwoPhase, SingleTileByteReproducesMonolithicEvaluator) {
   // Full non-idealities ON: device variability, WTA offsets + read noise,
