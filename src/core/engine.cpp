@@ -47,13 +47,10 @@ std::unique_ptr<ObjectiveEvaluator> HardwareEvaluatorFactory::create(
 
 std::unique_ptr<chip::TiledTwoPhaseEvaluator>
 HardwareEvaluatorFactory::create_hardware(std::uint64_t key) const {
-  if (fault_.tile_failure_rate > 0.0) {
-    const util::FaultPlan plan = fault_.for_instance(key);
-    return std::make_unique<chip::TiledTwoPhaseEvaluator>(
-        game_, intervals_, config_, chip_, device_rng_.split(key), &plan);
-  }
+  // A plan with no tile failures injects nothing and draws no RNG.
+  const util::FaultPlan plan = fault_.for_instance(key);
   return std::make_unique<chip::TiledTwoPhaseEvaluator>(
-      game_, intervals_, config_, chip_, device_rng_.split(key));
+      game_, intervals_, config_, chip_, device_rng_.split(key), &plan);
 }
 
 // ---- SolverEngine -----------------------------------------------------------
