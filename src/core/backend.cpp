@@ -28,6 +28,10 @@ void validate_request(const SolveRequest& request) {
         "invalid solve request: runs == 0 (need at least one sample unit)");
   if (request.game.num_actions1() == 0 || request.game.num_actions2() == 0)
     throw std::invalid_argument("invalid solve request: empty game");
+  if (request.intervals == 0)
+    throw std::invalid_argument(
+        "invalid solve request: intervals == 0 (need at least one "
+        "probability tick)");
   if (!std::isfinite(request.deadline_s) || request.deadline_s < 0.0)
     throw std::invalid_argument(
         "invalid solve request: deadline_s must be finite and >= 0 "

@@ -163,8 +163,8 @@ class SolverBackend {
 
 /// Submit-time request validation: throws std::invalid_argument with a clear
 /// message for requests that could only fail later on a worker thread
-/// (zero sample units, degenerate game payoffs). Backend-key resolution is
-/// validated separately by the registry lookup.
+/// (zero sample units, zero intervals, degenerate game payoffs). Backend-key
+/// resolution is validated separately by the registry lookup.
 void validate_request(const SolveRequest& request);
 
 /// ε-Nash verification of freshly produced samples: sets is_nash and regret

@@ -339,6 +339,20 @@ TEST(ValidateRequest, RejectsBadDeadlines) {
   EXPECT_NO_THROW(core::validate_request(req));
 }
 
+TEST(ValidateRequest, RejectsZeroIntervalsOnEveryBackend) {
+  // The wire protocol accepts intervals in [1, 4096]; an in-process request
+  // with I = 0 is rejected up front for every backend, not only the ones
+  // that would later fail to map a crossbar.
+  for (const std::string& name : core::SolverRegistry::global().names()) {
+    core::SolveRequest req(game::battle_of_sexes());
+    req.backend = name;
+    req.intervals = 0;
+    EXPECT_THROW(core::validate_request(req), std::invalid_argument) << name;
+    req.intervals = 1;
+    EXPECT_NO_THROW(core::validate_request(req)) << name;
+  }
+}
+
 TEST(ValidateRequest, RejectsFaultsOutsideTheResilientBackend) {
   core::SolveRequest req(game::battle_of_sexes());
   req.backend = "exact-sa";

@@ -195,6 +195,23 @@ TEST(SolverService, ZeroRunRequestsRejectAtSubmitTime) {
   EXPECT_EQ(ok.samples.size(), 4u);
 }
 
+TEST(SolverService, ZeroIntervalsRejectAtSubmitTime) {
+  // exact-sa with I = 0 used to reach a worker and spin there forever; it
+  // now resolves the future with std::invalid_argument before any unit runs.
+  SolverService service(ServiceOptions{1});
+  SolveRequest req = sa_request(game::battle_of_sexes(), "exact-sa", 1, 1, 5);
+  req.intervals = 0;
+  auto future = service.submit(std::move(req));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  try {
+    future.get();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("intervals == 0"), std::string::npos);
+  }
+}
+
 TEST(SolverService, NonFinitePayoffsRejectAtSubmitTime) {
   la::Matrix m{{1.0, 0.0}, {0.0, std::numeric_limits<double>::quiet_NaN()}};
   const game::BimatrixGame bad(m, m, "nan-game");
