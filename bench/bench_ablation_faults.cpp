@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 #include "util/table.hpp"
@@ -26,17 +26,18 @@ int main(int argc, char** argv) {
   const auto gt = game::all_equilibria(g);
   for (const double off : rates) {
     for (const double on : {0.0, off}) {
-      core::CNashConfig cfg;
-      cfg.intervals = 12;
-      cfg.sa.iterations = 8000;
-      cfg.seed = 4100 + static_cast<std::uint64_t>(off * 1e4) +
+      core::SolveRequest req(g);
+      req.backend = "hardware-sa";
+      req.runs = runs;
+      req.intervals = 12;
+      req.sa.iterations = 8000;
+      req.seed = 4100 + static_cast<std::uint64_t>(off * 1e4) +
                  static_cast<std::uint64_t>(on * 1e5);
-      cfg.hardware.array.stuck_off_rate = off;
-      cfg.hardware.array.stuck_on_rate = on;
-      core::CNashSolver solver(g, cfg);
-      std::vector<core::CandidateSolution> cands;
-      for (const auto& o : solver.run(runs)) cands.push_back({o.p, o.q});
-      const auto r = core::classify(g, gt, cands, 1e-9);
+      req.nash_eps = 1e-9;
+      req.hardware.array.stuck_off_rate = off;
+      req.hardware.array.stuck_on_rate = on;
+      const auto r = core::tally(
+          core::SolverService::shared().solve(std::move(req)).samples, gt);
       faults.add_row({util::Table::num(off * 100, 2),
                       util::Table::num(on * 100, 2),
                       core::percent(r.success_rate()),

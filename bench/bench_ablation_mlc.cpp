@@ -4,10 +4,12 @@
 // bench sweeps the level count on the 8-action game and reports array size,
 // estimated area, and solver quality.
 
+#include <algorithm>
 #include <cstdio>
 
+#include "chip/tiled_two_phase.hpp"
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 #include "util/table.hpp"
@@ -31,35 +33,31 @@ int main(int argc, char** argv) {
   // array — average over independently fabricated macros.
   constexpr int kInstances = 4;
   for (const std::uint32_t levels : {2u, 3u, 5u, 12u, 23u}) {
-    std::vector<core::CandidateSolution> cands;
-    const xbar::MappingGeometry* geom = nullptr;
-    double cells = 0.0, area_mm2 = 0.0;
-    std::size_t distinct = 0;
+    core::TwoPhaseConfig hardware;
+    hardware.levels_per_cell = levels;
+    const chip::ArrayGeometry geom =
+        chip::mapped_geometry(inst.game, inst.intervals, hardware);
+    const double cells =
+        static_cast<double>(geom.m.total_cells() + geom.nt.total_cells());
+    const double area_mm2 = area_model.macro(geom.m, geom.nt).total_um2() / 1e6;
+    std::vector<core::SolveSample> samples;
     for (int instance = 0; instance < kInstances; ++instance) {
-      core::CNashConfig cfg;
-      cfg.intervals = inst.intervals;
-      cfg.sa.iterations = inst.sa_iterations;
-      cfg.seed = 5200 + levels * 17 + static_cast<std::uint64_t>(instance);
-      cfg.hardware.levels_per_cell = levels;
-      core::CNashSolver solver(inst.game, cfg);
-      const auto& gm = solver.hardware()->chip_m().mapping().geometry();
-      const auto& gnt = solver.hardware()->chip_nt().mapping().geometry();
-      cells = static_cast<double>(gm.total_cells() + gnt.total_cells());
-      area_mm2 = area_model.macro(gm, gnt).total_um2() / 1e6;
-      static xbar::MappingGeometry geom_keep;
-      geom_keep = gm;
-      geom = &geom_keep;
-      std::vector<core::CandidateSolution> inst_cands;
-      for (const auto& o : solver.run(runs / kInstances))
-        inst_cands.push_back({o.p, o.q});
-      distinct = std::max(
-          distinct,
-          core::classify(inst.game, gt, inst_cands, 1e-9).distinct_found());
-      cands.insert(cands.end(), inst_cands.begin(), inst_cands.end());
+      core::SolveRequest req(inst.game);
+      req.backend = "hardware-sa";
+      req.runs = std::max<std::size_t>(1, runs / kInstances);
+      req.intervals = inst.intervals;
+      req.sa.iterations = inst.sa_iterations;
+      req.seed = 5200 + levels * 17 + static_cast<std::uint64_t>(instance);
+      req.nash_eps = 1e-9;
+      req.hardware = hardware;
+      const core::SolveReport report =
+          core::SolverService::shared().solve(std::move(req));
+      samples.insert(samples.end(), report.samples.begin(),
+                     report.samples.end());
     }
-    const auto r = core::classify(inst.game, gt, cands, 1e-9);
+    const auto r = core::tally(samples, gt);
     table.add_row({std::to_string(levels),
-                   std::to_string(geom->cells_per_element),
+                   std::to_string(geom.m.cells_per_element),
                    util::Table::num(cells / 1e6, 2),
                    util::Table::num(area_mm2, 3),
                    core::percent(r.success_rate()),

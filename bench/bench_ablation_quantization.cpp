@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 #include "util/table.hpp"
@@ -28,14 +28,15 @@ int main(int argc, char** argv) {
           !game::QuantizedStrategy::representable(eq.q, intervals))
         mixed_on_grid = false;
     }
-    core::CNashConfig cfg;
-    cfg.intervals = intervals;
-    cfg.sa.iterations = 6000;
-    cfg.seed = 7000 + intervals;
-    core::CNashSolver solver(g, cfg);
-    std::vector<core::CandidateSolution> cands;
-    for (const auto& o : solver.run(runs)) cands.push_back({o.p, o.q});
-    const auto r = core::classify(g, gt, cands, 1e-9);
+    core::SolveRequest req(g);
+    req.backend = "hardware-sa";
+    req.runs = runs;
+    req.intervals = intervals;
+    req.sa.iterations = 6000;
+    req.seed = 7000 + intervals;
+    req.nash_eps = 1e-9;
+    const auto r = core::tally(
+        core::SolverService::shared().solve(std::move(req)).samples, gt);
     table.add_row({std::to_string(intervals), mixed_on_grid ? "yes" : "no",
                    core::percent(r.success_rate()),
                    std::to_string(r.distinct_found()) + "/3",

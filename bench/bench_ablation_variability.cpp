@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 #include "util/table.hpp"
@@ -27,18 +27,19 @@ int main(int argc, char** argv) {
   const double wta_sweeps[] = {0.0, 0.0025, 0.01};
   for (const double sigma_vth : vth_sweeps) {
     for (const double wta_offset : wta_sweeps) {
-      core::CNashConfig cfg;
-      cfg.intervals = 12;
-      cfg.sa.iterations = 8000;
-      cfg.seed = 9000 + static_cast<std::uint64_t>(sigma_vth * 1e4) +
+      core::SolveRequest req(g);
+      req.backend = "hardware-sa";
+      req.runs = runs;
+      req.intervals = 12;
+      req.sa.iterations = 8000;
+      req.seed = 9000 + static_cast<std::uint64_t>(sigma_vth * 1e4) +
                  static_cast<std::uint64_t>(wta_offset * 1e5);
-      cfg.hardware.array.variability.sigma_vth = sigma_vth;
-      cfg.hardware.array.ideal = (sigma_vth == 0.0);
-      cfg.hardware.wta.offset_sigma = wta_offset;
-      core::CNashSolver solver(g, cfg);
-      std::vector<core::CandidateSolution> cands;
-      for (const auto& o : solver.run(runs)) cands.push_back({o.p, o.q});
-      const auto r = core::classify(g, gt, cands, 1e-9);
+      req.nash_eps = 1e-9;
+      req.hardware.array.variability.sigma_vth = sigma_vth;
+      req.hardware.array.ideal = (sigma_vth == 0.0);
+      req.hardware.wta.offset_sigma = wta_offset;
+      const auto r = core::tally(
+          core::SolverService::shared().solve(std::move(req)).samples, gt);
       table.add_row({util::Table::num(sigma_vth * 1e3, 0),
                      util::Table::num(wta_offset * 100, 2),
                      core::percent(r.success_rate()),

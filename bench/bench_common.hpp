@@ -25,12 +25,12 @@
 #include <utility>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 #include "qubo/dwave_proxy.hpp"
+#include "util/rng.hpp"
 
 // Git revision baked in by CMake so every BENCH_*.json is attributable to a
 // commit when archived by CI.
@@ -324,6 +324,7 @@ inline InstanceEvaluation evaluate_instance(
     req.seed = backend == "hardware-sa" ? seed : mix_seed(seed, backend);
     req.intervals = inst.intervals;
     req.sa.iterations = inst.sa_iterations;
+    req.nash_eps = 1e-9;
     req.max_parallelism = threads;
     return req;
   };
@@ -332,15 +333,10 @@ inline InstanceEvaluation evaluate_instance(
   auto dwave_2000q = service.submit(request_for("dwave-2000q6"));
   auto dwave_advantage = service.submit(request_for("dwave-advantage41"));
 
-  auto classify_report = [&](const core::SolveReport& report) {
-    std::vector<core::CandidateSolution> cands;
-    cands.reserve(report.samples.size());
-    for (const auto& s : report.samples) cands.push_back({s.p, s.q});
-    return core::classify(inst.game, ev.ground_truth, cands, 1e-9);
-  };
-  ev.cnash = classify_report(cnash.get());
-  ev.dwave_2000q = classify_report(dwave_2000q.get());
-  ev.dwave_advantage = classify_report(dwave_advantage.get());
+  ev.cnash = core::tally(cnash.get().samples, ev.ground_truth);
+  ev.dwave_2000q = core::tally(dwave_2000q.get().samples, ev.ground_truth);
+  ev.dwave_advantage =
+      core::tally(dwave_advantage.get().samples, ev.ground_truth);
   return ev;
 }
 

@@ -15,7 +15,6 @@
 #include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
 #include "core/engine.hpp"
-#include "core/solver.hpp"
 #include "game/games.hpp"
 #include "qubo/annealer.hpp"
 #include "qubo/squbo_builder.hpp"

@@ -24,8 +24,8 @@
 
 #include "bench_common.hpp"
 #include "chip/tiled_two_phase.hpp"
-#include "core/engine.hpp"
 #include "core/metrics.hpp"
+#include "core/service.hpp"
 #include "core/timing.hpp"
 #include "game/random_games.hpp"
 #include "game/support_enum.hpp"
@@ -34,9 +34,9 @@
 
 namespace {
 
-double seconds_to_run(cnash::core::SolverEngine& engine, std::size_t runs) {
+double seconds_to_solve(cnash::core::SolveRequest request) {
   const auto t0 = std::chrono::steady_clock::now();
-  engine.run(runs);
+  cnash::core::SolverService::shared().solve(std::move(request));
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
 }
@@ -73,30 +73,32 @@ int main(int argc, char** argv) {
     const std::uint32_t intervals = 24;  // random-diagonal mixed NE rarely sit
     // exactly on this grid, so success counts eps-NE with eps = the grid's
     // intrinsic payoff resolution (range / I).
-    core::EngineOptions opts;
-    opts.intervals = intervals;
-    opts.sa.iterations = 4000 * n;
-    opts.seed = 6000 + n;
-    opts.threads = cli.threads;
-    auto factory = std::make_shared<core::HardwareEvaluatorFactory>(
-        g, intervals, core::TwoPhaseConfig{}, util::Rng(opts.seed));
-    const xbar::MappingGeometry geom =
-        chip::mapped_geometry(g, intervals, core::TwoPhaseConfig{}).m;
-    core::SolverEngine engine(factory, opts);
-    std::vector<core::CandidateSolution> cands;
-    for (const auto& o : engine.run(runs)) cands.push_back({o.p, o.q});
     const double grid_eps =
         (g.payoff1().max_element() - g.payoff1().min_element()) / intervals;
-    const auto r = core::classify(g, gt, cands, grid_eps, 2.0 / intervals);
+    const double match_tol = 2.0 / intervals;
+    const std::size_t iterations = 4000 * n;
+    core::SolveRequest req(g);
+    req.backend = "hardware-sa";
+    req.runs = runs;
+    req.intervals = intervals;
+    req.sa.iterations = iterations;
+    req.seed = 6000 + n;
+    req.nash_eps = grid_eps;
+    req.max_parallelism = cli.threads;
+    const auto r = core::tally(
+        core::SolverService::shared().solve(std::move(req)).samples, gt,
+        match_tol);
 
-    const double tts = timing.time_to_solution_s(geom, opts.sa.iterations,
-                                                 r.success_rate());
+    const xbar::MappingGeometry geom =
+        chip::mapped_geometry(g, intervals, core::TwoPhaseConfig{}).m;
+    const double tts =
+        timing.time_to_solution_s(geom, iterations, r.success_rate());
 
     util::Rng rng(6100 + n);
     const qubo::DWaveProxy proxy(g, qubo::dwave_advantage41_config());
-    std::vector<core::CandidateSolution> dcands;
-    for (const auto& s : proxy.run(runs, rng)) dcands.push_back({s.p, s.q});
-    const auto dr = core::classify(g, gt, dcands, grid_eps, 2.0 / intervals);
+    std::vector<core::SolveSample> reads = proxy.run(runs, rng);
+    core::verify_samples(g, grid_eps, reads);
+    const auto dr = core::tally(reads, gt, match_tol);
 
     table.add_row({std::to_string(n), std::to_string(gt.size()),
                    core::percent(r.success_rate()),
@@ -116,22 +118,21 @@ int main(int argc, char** argv) {
       "Shape: C-Nash success decays gently with size while the S-QUBO proxy\n"
       "falls off a cliff once the slack encoding outgrows its precision.\n\n");
 
-  // ---- Axis 2: engine thread scaling. -------------------------------------
+  // ---- Axis 2: host thread scaling. ---------------------------------------
   // A fixed batch of hardware-evaluator runs, timed at growing worker counts.
   // Outcomes are bit-identical at every thread count (keyed per-run RNG
   // streams), so the speedup column is a pure wall-clock measurement.
   const std::size_t batch = 64;
   const game::BimatrixGame g = game::bird_game();
-  auto make_engine = [&](std::size_t threads) {
-    core::EngineOptions opts;
-    opts.intervals = 12;
-    opts.sa.iterations = 4000;
-    opts.seed = 0x5CA1E;
-    opts.threads = threads;
-    return core::SolverEngine(
-        std::make_shared<core::HardwareEvaluatorFactory>(
-            g, opts.intervals, core::TwoPhaseConfig{}, util::Rng(opts.seed)),
-        opts);
+  auto make_request = [&](std::size_t threads) {
+    core::SolveRequest req(g);
+    req.backend = "hardware-sa";
+    req.runs = batch;
+    req.intervals = 12;
+    req.sa.iterations = 4000;
+    req.seed = 0x5CA1E;
+    req.max_parallelism = threads;
+    return req;
   };
 
   std::size_t max_threads = cli.threads;
@@ -140,7 +141,7 @@ int main(int argc, char** argv) {
     max_threads = hw > 0 ? hw : 1;
   }
 
-  std::printf("=== Engine thread scaling: %zu hardware-evaluator runs ===\n\n",
+  std::printf("=== Thread scaling: %zu hardware-evaluator runs ===\n\n",
               batch);
   util::Table scaling({"threads", "wall clock (s)", "speedup", "runs/s"});
   std::vector<std::size_t> sweep;
@@ -149,8 +150,7 @@ int main(int argc, char** argv) {
   sweep.push_back(max_threads);  // always measure the requested maximum
   double t1 = 0.0;
   for (const std::size_t threads : sweep) {
-    auto engine = make_engine(threads);
-    const double dt = seconds_to_run(engine, batch);
+    const double dt = seconds_to_solve(make_request(threads));
     if (threads == 1) t1 = dt;
     scaling.add_row({std::to_string(threads), util::Table::num(dt, 3),
                      util::Table::num(t1 / dt, 2) + "X",

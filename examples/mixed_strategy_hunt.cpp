@@ -11,7 +11,7 @@
 #include <set>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 #include "qubo/dwave_proxy.hpp"
@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
   using namespace cnash;
 
-  std::size_t threads = 0;  // 0 = one engine worker per hardware thread
+  std::size_t threads = 0;  // 0 = one run per service worker
   for (int a = 1; a + 1 < argc; ++a)
     if (!std::strcmp(argv[a], "--threads"))
       threads = std::strtoul(argv[a + 1], nullptr, 10);
@@ -33,20 +33,22 @@ int main(int argc, char** argv) {
   // --- S-QUBO / D-Wave proxy ------------------------------------------------
   util::Rng rng(7);
   const qubo::DWaveProxy proxy(g, qubo::dwave_advantage41_config());
-  std::vector<core::CandidateSolution> dwave_cands;
-  for (const auto& s : proxy.run(300, rng)) dwave_cands.push_back({s.p, s.q});
-  const auto dwave = core::classify(g, ground_truth, dwave_cands, 1e-9);
+  std::vector<core::SolveSample> reads = proxy.run(300, rng);
+  core::verify_samples(g, 1e-9, reads);
+  const auto dwave = core::tally(reads, ground_truth);
 
   // --- C-Nash ---------------------------------------------------------------
-  core::CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 15000;
-  cfg.seed = 99;
-  cfg.threads = threads;
-  core::CNashSolver solver(g, cfg);
-  std::vector<core::CandidateSolution> cnash_cands;
-  for (const auto& o : solver.run(300)) cnash_cands.push_back({o.p, o.q});
-  const auto cnash = core::classify(g, ground_truth, cnash_cands, 1e-9);
+  core::SolveRequest request(g);
+  request.backend = "hardware-sa";
+  request.runs = 300;
+  request.intervals = 12;
+  request.sa.iterations = 15000;
+  request.seed = 99;
+  request.nash_eps = 1e-9;
+  request.max_parallelism = threads;
+  const auto cnash = core::tally(
+      core::SolverService::shared().solve(std::move(request)).samples,
+      ground_truth);
 
   util::Table table({"equilibrium", "type", "S-QUBO proxy", "C-Nash"});
   for (std::size_t i = 0; i < ground_truth.size(); ++i) {

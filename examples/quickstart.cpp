@@ -3,10 +3,10 @@
 //   $ ./quickstart [--threads N]
 //
 // Programs the FeFET bi-crossbar with the payoff matrices, runs a batch of
-// two-phase simulated-annealing descents through the SolverEngine (spread
-// across N worker threads — same results for any N), and prints every
-// distinct Nash equilibrium found (pure and mixed), cross-checked against
-// the exact support-enumeration ground truth.
+// two-phase simulated-annealing descents as one "hardware-sa" SolveRequest on
+// the shared SolverService (at most N runs in flight — same results for any
+// N), and prints every distinct Nash equilibrium found (pure and mixed),
+// cross-checked against the exact support-enumeration ground truth.
 
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +15,7 @@
 #include <string>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 
@@ -30,26 +30,28 @@ int main(int argc, char** argv) {
   const game::BimatrixGame g = game::battle_of_sexes();
   std::printf("%s\n", g.to_string().c_str());
 
-  // 1. Configure the solver: probability grid I=12 (the mixed equilibrium
+  // 1. Configure the solve: probability grid I=12 (the mixed equilibrium
   //    (2/3,1/3)x(1/3,2/3) lies exactly on this grid), 10000 SA iterations as
   //    in the paper, full hardware model (device variability, WTA offsets,
   //    ADC quantization). Each run gets its own keyed RNG stream and its own
   //    hardware instance, so the batch parallelises without changing results.
-  core::CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 10000;
-  cfg.seed = 2024;
-  cfg.threads = threads;
-  core::CNashSolver solver(g, cfg);
+  core::SolveRequest request(g);
+  request.backend = "hardware-sa";
+  request.runs = 50;
+  request.intervals = 12;
+  request.sa.iterations = 10000;
+  request.seed = 2024;
+  request.nash_eps = 1e-9;
+  request.max_parallelism = threads;
 
-  // 2. Run 50 annealing descents and collect the solutions.
-  const auto outcomes = solver.run(50);
+  // 2. Run 50 annealing descents; every sample comes back ε-Nash-verified.
+  const core::SolveReport solved =
+      core::SolverService::shared().solve(std::move(request));
+  const auto& outcomes = solved.samples;
 
-  // 3. Verify against the exact ground truth.
+  // 3. Count hits against the exact ground truth.
   const auto ground_truth = game::all_equilibria(g);
-  std::vector<core::CandidateSolution> candidates;
-  for (const auto& o : outcomes) candidates.push_back({o.p, o.q});
-  const auto report = core::classify(g, ground_truth, candidates, 1e-9);
+  const auto report = core::tally(outcomes, ground_truth);
 
   std::printf("SA runs: %zu   success rate: %s%%   distinct NE found: %zu/%zu\n\n",
               report.runs, core::percent(report.success_rate()).c_str(),
@@ -57,7 +59,7 @@ int main(int argc, char** argv) {
 
   std::map<std::string, std::pair<core::SolveSample, int>> distinct;
   for (const auto& o : outcomes) {
-    if (!game::is_nash_equilibrium(g, o.p, o.q, 1e-9)) continue;
+    if (!o.is_nash) continue;
     auto [it, fresh] = distinct.try_emplace(o.key(), o, 0);
     ++it->second.second;
   }

@@ -206,9 +206,7 @@ int main(int argc, char** argv) {
                                             "be incomplete)"
                                           : "");
 
-    std::vector<core::CandidateSolution> cands;
-    for (const auto& s : report.samples) cands.push_back({s.p, s.q});
-    const auto cls = core::classify(g, gt, cands, 1e-7, 1e-4);
+    const auto cls = core::tally(report.samples, gt);
 
     std::printf(
         "%s: %zu samples, success %s%%, distinct %zu/%zu, modeled %.4g s\n\n",

@@ -61,6 +61,28 @@ SolverReport classify(const game::BimatrixGame& game,
   return report;
 }
 
+SolverReport tally(const std::vector<SolveSample>& samples,
+                   const std::vector<game::Equilibrium>& ground_truth,
+                   double match_tol) {
+  SolverReport report;
+  report.runs = samples.size();
+  report.hits.assign(ground_truth.size(), 0);
+  for (const SolveSample& s : samples) {
+    if (!s.is_nash) {
+      ++report.errors;
+      continue;
+    }
+    if (game::is_pure_profile(s.p, s.q))
+      ++report.pure_successes;
+    else
+      ++report.mixed_successes;
+    const std::size_t idx =
+        game::match_equilibrium(ground_truth, s.p, s.q, match_tol);
+    if (idx != game::kNoMatch) ++report.hits[idx];
+  }
+  return report;
+}
+
 std::string percent(double fraction, int precision) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.*f", precision, fraction * 100.0);

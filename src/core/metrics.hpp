@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sample.hpp"
 #include "game/game.hpp"
 #include "game/verify.hpp"
 
@@ -43,6 +44,15 @@ SolverReport classify(const game::BimatrixGame& game,
                       const std::vector<game::Equilibrium>& ground_truth,
                       const std::vector<CandidateSolution>& candidates,
                       double nash_eps = 1e-6, double match_tol = 1e-4);
+
+/// Tally ε-Nash-verified samples (e.g. SolveReport::samples) against a
+/// ground-truth equilibrium list. A sample is a success when its own verdict
+/// (SolveSample::is_nash, set by verify_samples at the request's nash_eps)
+/// holds; it additionally counts toward `hits` when it matches a ground-truth
+/// equilibrium within match_tol.
+SolverReport tally(const std::vector<SolveSample>& samples,
+                   const std::vector<game::Equilibrium>& ground_truth,
+                   double match_tol = 1e-4);
 
 /// Render percentages like the paper's tables ("81.90").
 std::string percent(double fraction, int precision = 2);

@@ -1,19 +1,19 @@
-// SolverEngine: service-pool dispatch with thread-count-invariant determinism.
-// The contract under test (see engine.hpp): for a fixed seed, run(N) returns
-// bit-identical SolveSample vectors for ANY thread cap, because every run
-// derives its SA stream and evaluator instance from keyed RNG splits rather
-// than from shared sequential state.
+// Run dispatch on the shared SolverService: thread-cap-invariant determinism.
+// The contract under test (see service.hpp): for a fixed seed, a SolveRequest
+// returns bit-identical samples for ANY SolveRequest::max_parallelism,
+// because every run derives its SA stream and evaluator instance from keyed
+// RNG splits rather than from shared sequential state.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "core/backend.hpp"
 #include "core/engine.hpp"
+#include "core/service.hpp"
 #include "core/solver.hpp"
 #include "game/games.hpp"
-#include "game/support_enum.hpp"
-#include "game/verify.hpp"
 
 namespace cnash::core {
 namespace {
@@ -36,6 +36,25 @@ std::string fingerprint(const std::vector<SolveSample>& outcomes) {
   return fp;
 }
 
+/// `runs` SA runs on the Bird Game, at most `threads` in flight on the shared
+/// service (0 = no cap).
+SolveRequest bird_request(bool hardware, std::size_t threads,
+                          std::uint64_t seed, std::size_t runs,
+                          std::size_t iterations = 600) {
+  SolveRequest req(game::bird_game());
+  req.backend = hardware ? "hardware-sa" : "exact-sa";
+  req.runs = runs;
+  req.intervals = 12;
+  req.sa.iterations = iterations;
+  req.seed = seed;
+  req.max_parallelism = threads;
+  return req;
+}
+
+std::vector<SolveSample> solve(SolveRequest req) {
+  return SolverService::shared().solve(std::move(req)).samples;
+}
+
 SolverEngine make_engine(bool hardware, std::size_t threads,
                          std::uint64_t seed, std::size_t iterations = 600) {
   const game::BimatrixGame g = game::bird_game();
@@ -54,24 +73,22 @@ SolverEngine make_engine(bool hardware, std::size_t threads,
   return SolverEngine(std::move(factory), opts);
 }
 
-TEST(SolverEngine, ThreadCountInvariantExactBackend) {
-  const auto baseline = fingerprint(make_engine(false, 1, 0xABCD).run(24));
-  for (const std::size_t threads : {2u, 8u}) {
-    auto engine = make_engine(false, threads, 0xABCD);
-    EXPECT_EQ(fingerprint(engine.run(24)), baseline)
+TEST(ServiceDispatch, ThreadCapInvariantExactBackend) {
+  const auto baseline = fingerprint(solve(bird_request(false, 1, 0xABCD, 24)));
+  for (const std::size_t threads : {2u, 8u})
+    EXPECT_EQ(fingerprint(solve(bird_request(false, threads, 0xABCD, 24))),
+              baseline)
         << "threads=" << threads;
-  }
 }
 
-TEST(SolverEngine, ThreadCountInvariantHardwareBackend) {
+TEST(ServiceDispatch, ThreadCapInvariantHardwareBackend) {
   // The strong version of the contract: even with per-instance device
   // variability and per-read noise, outcomes are scheduling-independent.
-  const auto baseline = fingerprint(make_engine(true, 1, 0xBEEF).run(16));
-  for (const std::size_t threads : {2u, 8u}) {
-    auto engine = make_engine(true, threads, 0xBEEF);
-    EXPECT_EQ(fingerprint(engine.run(16)), baseline)
+  const auto baseline = fingerprint(solve(bird_request(true, 1, 0xBEEF, 16)));
+  for (const std::size_t threads : {2u, 8u})
+    EXPECT_EQ(fingerprint(solve(bird_request(true, threads, 0xBEEF, 16))),
+              baseline)
         << "threads=" << threads;
-  }
 }
 
 TEST(SolverEngine, BatchesContinueTheRunSequence) {
@@ -92,21 +109,18 @@ TEST(SolverEngine, RewindReplaysRunZero) {
   EXPECT_EQ(fingerprint(first), fingerprint(replay));
 }
 
-TEST(SolverEngine, DifferentSeedsProduceDifferentRuns) {
-  auto a = make_engine(false, 2, 1);
-  auto b = make_engine(false, 2, 2);
-  EXPECT_NE(fingerprint(a.run(8)), fingerprint(b.run(8)));
+TEST(ServiceDispatch, DifferentSeedsProduceDifferentRuns) {
+  EXPECT_NE(fingerprint(solve(bird_request(false, 2, 1, 8))),
+            fingerprint(solve(bird_request(false, 2, 2, 8))));
 }
 
-TEST(SolverEngine, ReportBestNeverWorseThanFinal) {
+TEST(ServiceDispatch, ReportBestNeverWorseThanFinal) {
   // Same seed => same per-run trajectories, so best <= final run by run.
-  auto final_engine = make_engine(false, 4, 555);
-  EngineOptions opts = final_engine.options();
-  opts.report_best = true;
-  SolverEngine best(std::make_shared<ExactEvaluatorFactory>(game::bird_game()),
-                    opts);
-  const auto of = final_engine.run(10);
-  const auto ob = best.run(10);
+  SolveRequest best_req = bird_request(false, 4, 555, 10);
+  best_req.report_best = true;
+  const auto of = solve(bird_request(false, 4, 555, 10));
+  const auto ob = solve(std::move(best_req));
+  ASSERT_EQ(ob.size(), of.size());
   for (std::size_t i = 0; i < of.size(); ++i)
     EXPECT_LE(ob[i].objective, of[i].objective + 1e-12);
 }
@@ -116,31 +130,28 @@ TEST(SolverEngine, ZeroRunsIsEmpty) {
   EXPECT_TRUE(engine.run(0).empty());
 }
 
-TEST(SolverEngine, ParallelRunsStillSolve) {
+TEST(ServiceDispatch, ParallelRunsStillSolve) {
   // Quality survives parallel dispatch: most runs land on equilibria.
-  auto engine = make_engine(false, 8, 4321, /*iterations=*/4000);
-  const auto outcomes = engine.run(24);
-  const auto g = game::bird_game();
+  SolveRequest req = bird_request(false, 8, 4321, 24, /*iterations=*/4000);
+  req.nash_eps = 1e-9;
   int nash = 0;
-  for (const auto& o : outcomes)
-    if (game::is_nash_equilibrium(g, o.p, o.q, 1e-9)) ++nash;
+  for (const auto& o : solve(std::move(req)))
+    if (o.is_nash) ++nash;
   EXPECT_GE(nash, 16);
 }
 
-// ---- Facade: CNashConfig::seed reproducibility across thread counts --------
-
-TEST(SolverFacade, SameSeedSameOutcomesAcrossThreadCounts) {
-  // Documented CNashConfig contract: `seed` fully determines run outcomes;
-  // `threads` (1, 2, 8) only changes wall-clock, never results.
+TEST(ServiceDispatch, SameSeedSameOutcomesAcrossThreadCaps) {
+  // `seed` fully determines run outcomes; max_parallelism (1, 2, 8) only
+  // changes wall-clock, never results.
   std::string baseline;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    CNashConfig cfg;
-    cfg.use_hardware = true;
-    cfg.sa.iterations = 400;
-    cfg.seed = 20240613;
-    cfg.threads = threads;
-    CNashSolver solver(game::battle_of_sexes(), cfg);
-    const auto fp = fingerprint(solver.run(12));
+    SolveRequest req(game::battle_of_sexes());
+    req.backend = "hardware-sa";
+    req.runs = 12;
+    req.sa.iterations = 400;
+    req.seed = 20240613;
+    req.max_parallelism = threads;
+    const auto fp = fingerprint(solve(std::move(req)));
     if (baseline.empty())
       baseline = fp;
     else

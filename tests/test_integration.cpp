@@ -4,59 +4,65 @@
 
 #include <gtest/gtest.h>
 
+#include "core/backend.hpp"
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "core/timing.hpp"
 #include "game/games.hpp"
+#include "game/strategy.hpp"
 #include "game/support_enum.hpp"
 #include "qubo/dwave_proxy.hpp"
 
 namespace cnash::core {
 namespace {
 
-std::vector<CandidateSolution> to_candidates(
-    const std::vector<SolveSample>& outcomes) {
-  std::vector<CandidateSolution> c;
-  c.reserve(outcomes.size());
-  for (const auto& o : outcomes) c.push_back({o.p, o.q});
-  return c;
+/// `runs` SA runs of `backend` on `g`, ε-Nash-verified at 1e-9.
+std::vector<SolveSample> solve(const game::BimatrixGame& g,
+                               std::size_t runs, std::uint64_t seed,
+                               std::size_t iterations,
+                               std::uint32_t intervals = 12,
+                               const char* backend = "hardware-sa") {
+  SolveRequest req(g);
+  req.backend = backend;
+  req.runs = runs;
+  req.intervals = intervals;
+  req.sa.iterations = iterations;
+  req.seed = seed;
+  req.nash_eps = 1e-9;
+  return SolverService::shared().solve(std::move(req)).samples;
+}
+
+/// `reads` D-Wave proxy reads off one stream, verified like a backend would.
+std::vector<SolveSample> proxy_reads(const game::BimatrixGame& g,
+                                     qubo::DWaveConfig config,
+                                     std::size_t reads, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const qubo::DWaveProxy proxy(g, std::move(config));
+  std::vector<SolveSample> samples = proxy.run(reads, rng);
+  verify_samples(g, 1e-9, samples);
+  return samples;
 }
 
 TEST(Integration, CNashFindsAllBattleOfSexesSolutionsOnHardware) {
-  CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 6000;
-  cfg.seed = 91;
-  CNashSolver solver(game::battle_of_sexes(), cfg);
-  const auto gt = game::all_equilibria(solver.game());
-  const auto report =
-      classify(solver.game(), gt, to_candidates(solver.run(60)), 1e-9);
+  const auto g = game::battle_of_sexes();
+  const auto report = tally(solve(g, 60, 91, 6000), game::all_equilibria(g));
   EXPECT_GE(report.success_rate(), 0.9);
   EXPECT_EQ(report.distinct_found(), 3u);
 }
 
 TEST(Integration, CNashFindsMixedBirdGameSolutionsOnHardware) {
-  CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 8000;
-  cfg.seed = 92;
-  CNashSolver solver(game::bird_game(), cfg);
-  const auto gt = game::all_equilibria(solver.game());
-  const auto report =
-      classify(solver.game(), gt, to_candidates(solver.run(80)), 1e-9);
+  const auto g = game::bird_game();
+  const auto report = tally(solve(g, 80, 92, 8000), game::all_equilibria(g));
   EXPECT_GE(report.success_rate(), 0.6);
   EXPECT_GT(report.mixed_successes, 0u);
   EXPECT_GE(report.distinct_found(), 5u);
 }
 
 TEST(Integration, DWaveProxyFindsOnlyPureSolutions) {
-  util::Rng rng(93);
   const auto g = game::bird_game();
-  const auto gt = game::all_equilibria(g);
-  const qubo::DWaveProxy proxy(g, qubo::dwave_2000q6_config());
-  std::vector<CandidateSolution> cands;
-  for (const auto& s : proxy.run(100, rng)) cands.push_back({s.p, s.q});
-  const auto report = classify(g, gt, cands, 1e-9);
+  const auto report =
+      tally(proxy_reads(g, qubo::dwave_2000q6_config(), 100, 93),
+            game::all_equilibria(g));
   EXPECT_EQ(report.mixed_successes, 0u);  // binary variables: pure only
   EXPECT_LE(report.distinct_found(), 3u);
 }
@@ -66,21 +72,9 @@ TEST(Integration, CNashBeatsDWaveProxyOnSolutionCoverage) {
   // the S-QUBO annealer only a subset of the pure ones.
   const auto g = game::bird_game();
   const auto gt = game::all_equilibria(g);
-
-  CNashConfig cfg;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 8000;
-  cfg.seed = 94;
-  CNashSolver solver(g, cfg);
-  const auto cnash_report =
-      classify(g, gt, to_candidates(solver.run(80)), 1e-9);
-
-  util::Rng rng(95);
-  const qubo::DWaveProxy proxy(g, qubo::dwave_advantage41_config());
-  std::vector<CandidateSolution> dwave_cands;
-  for (const auto& s : proxy.run(80, rng)) dwave_cands.push_back({s.p, s.q});
-  const auto dwave_report = classify(g, gt, dwave_cands, 1e-9);
-
+  const auto cnash_report = tally(solve(g, 80, 94, 8000), gt);
+  const auto dwave_report =
+      tally(proxy_reads(g, qubo::dwave_advantage41_config(), 80, 95), gt);
   EXPECT_GT(cnash_report.distinct_found(), dwave_report.distinct_found());
 }
 
@@ -94,30 +88,18 @@ TEST(Integration, CNashTimeToSolutionBeatsDWaveModel) {
 }
 
 TEST(Integration, ExactAndHardwareBackendsAgreeOnSuccess) {
-  CNashConfig hw_cfg;
-  hw_cfg.intervals = 12;
-  hw_cfg.sa.iterations = 5000;
-  hw_cfg.seed = 96;
-  CNashConfig sw_cfg = hw_cfg;
-  sw_cfg.use_hardware = false;
-
   const auto g = game::battle_of_sexes();
   const auto gt = game::all_equilibria(g);
-  CNashSolver hw(g, hw_cfg);
-  CNashSolver sw(g, sw_cfg);
-  const auto rh = classify(g, gt, to_candidates(hw.run(40)), 1e-9);
-  const auto rs = classify(g, gt, to_candidates(sw.run(40)), 1e-9);
+  const auto rh = tally(solve(g, 40, 96, 5000), gt);
+  const auto rs = tally(solve(g, 40, 96, 5000, 12, "exact-sa"), gt);
   EXPECT_NEAR(rh.success_rate(), rs.success_rate(), 0.25);
 }
 
 TEST(Integration, ModifiedPdHardwareRunsEndToEnd) {
   // Smoke-scale version of the paper's largest instance (I = 60 grid).
-  CNashConfig cfg;
-  cfg.intervals = 60;
-  cfg.sa.iterations = 3000;
-  cfg.seed = 97;
-  CNashSolver solver(game::modified_prisoners_dilemma(), cfg);
-  const auto outcomes = solver.run(3);
+  const auto outcomes =
+      solve(game::modified_prisoners_dilemma(), 3, 97, 3000, /*intervals=*/60);
+  ASSERT_EQ(outcomes.size(), 3u);
   for (const auto& o : outcomes) {
     EXPECT_TRUE(game::is_distribution(o.p));
     EXPECT_TRUE(game::is_distribution(o.q));

@@ -1,54 +1,60 @@
+// The SA backends end to end through one SolveRequest on the shared service:
+// "exact-sa" and "hardware-sa" solve the paper's small games, report valid
+// distributions, and replay bit-identically for a fixed seed.
+
 #include <gtest/gtest.h>
 
 #include "core/metrics.hpp"
-#include "core/solver.hpp"
+#include "core/service.hpp"
 #include "game/games.hpp"
+#include "game/strategy.hpp"
 #include "game/support_enum.hpp"
 
 namespace cnash::core {
 namespace {
 
+SolveRequest sa_request(game::BimatrixGame g, const char* backend,
+                        std::size_t runs, std::uint64_t seed,
+                        std::size_t iterations) {
+  SolveRequest req(std::move(g));
+  req.backend = backend;
+  req.runs = runs;
+  req.intervals = 12;
+  req.sa.iterations = iterations;
+  req.seed = seed;
+  req.nash_eps = 1e-9;
+  return req;
+}
+
+std::vector<SolveSample> solve(SolveRequest req) {
+  return SolverService::shared().solve(std::move(req)).samples;
+}
+
+std::size_t nash_count(const std::vector<SolveSample>& samples) {
+  std::size_t n = 0;
+  for (const SolveSample& s : samples)
+    if (s.is_nash) ++n;
+  return n;
+}
+
 TEST(Solver, ExactBackendSolvesBattleOfSexes) {
-  CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 4000;
-  cfg.seed = 81;
-  CNashSolver solver(game::battle_of_sexes(), cfg);
-  const auto outcomes = solver.run(30);
+  const auto outcomes =
+      solve(sa_request(game::battle_of_sexes(), "exact-sa", 30, 81, 4000));
   ASSERT_EQ(outcomes.size(), 30u);
-  int nash = 0;
-  for (const auto& o : outcomes)
-    if (game::is_nash_equilibrium(solver.game(), o.p, o.q, 1e-9)) ++nash;
-  EXPECT_GE(nash, 27);
+  EXPECT_GE(nash_count(outcomes), 27u);
 }
 
 TEST(Solver, HardwareBackendSolvesBattleOfSexes) {
-  CNashConfig cfg;
-  cfg.use_hardware = true;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 4000;
-  cfg.seed = 82;
-  CNashSolver solver(game::battle_of_sexes(), cfg);
-  ASSERT_NE(solver.hardware(), nullptr);
-  const auto outcomes = solver.run(20);
-  int nash = 0;
-  for (const auto& o : outcomes)
-    if (game::is_nash_equilibrium(solver.game(), o.p, o.q, 1e-9)) ++nash;
-  EXPECT_GE(nash, 15);
+  const auto outcomes =
+      solve(sa_request(game::battle_of_sexes(), "hardware-sa", 20, 82, 4000));
+  ASSERT_EQ(outcomes.size(), 20u);
+  EXPECT_GE(nash_count(outcomes), 15u);
 }
 
 TEST(Solver, FindsBothPureAndMixedSolutions) {
-  CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.intervals = 12;
-  cfg.sa.iterations = 5000;
-  cfg.seed = 83;
-  CNashSolver solver(game::battle_of_sexes(), cfg);
-  const auto gt = game::all_equilibria(solver.game());
-  std::vector<CandidateSolution> cands;
-  for (const auto& o : solver.run(60)) cands.push_back({o.p, o.q});
-  const auto report = classify(solver.game(), gt, cands, 1e-9);
+  const game::BimatrixGame g = game::battle_of_sexes();
+  const auto report = tally(solve(sa_request(g, "exact-sa", 60, 83, 5000)),
+                            game::all_equilibria(g));
   EXPECT_GT(report.pure_successes, 0u);
   EXPECT_GT(report.mixed_successes, 0u);
   EXPECT_EQ(report.target(), 3u);
@@ -56,40 +62,28 @@ TEST(Solver, FindsBothPureAndMixedSolutions) {
 }
 
 TEST(Solver, DeterministicGivenSeed) {
-  CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.sa.iterations = 500;
-  cfg.seed = 84;
-  CNashSolver a(game::bird_game(), cfg);
-  CNashSolver b(game::bird_game(), cfg);
-  const auto oa = a.run(5);
-  const auto ob = b.run(5);
+  const auto oa = solve(sa_request(game::bird_game(), "exact-sa", 5, 84, 500));
+  const auto ob = solve(sa_request(game::bird_game(), "exact-sa", 5, 84, 500));
+  ASSERT_EQ(oa.size(), 5u);
+  ASSERT_EQ(ob.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_EQ(oa[i].profile->key(), ob[i].profile->key());
 }
 
 TEST(Solver, ReportBestOptionNeverWorseThanFinal) {
-  CNashConfig final_cfg;
-  final_cfg.use_hardware = false;
-  final_cfg.sa.iterations = 300;
-  final_cfg.seed = 85;
-  CNashConfig best_cfg = final_cfg;
-  best_cfg.report_best = true;
-  CNashSolver fin(game::bird_game(), final_cfg);
-  CNashSolver best(game::bird_game(), best_cfg);
-  const auto of = fin.run(10);
-  const auto ob = best.run(10);
-  for (std::size_t i = 0; i < 10; ++i)
+  SolveRequest best_req = sa_request(game::bird_game(), "exact-sa", 10, 85, 300);
+  best_req.report_best = true;
+  const auto of = solve(sa_request(game::bird_game(), "exact-sa", 10, 85, 300));
+  const auto ob = solve(std::move(best_req));
+  ASSERT_EQ(ob.size(), of.size());
+  for (std::size_t i = 0; i < of.size(); ++i)
     EXPECT_LE(ob[i].objective, of[i].objective + 1e-12);
 }
 
 TEST(Solver, OutcomeDistributionsAreValid) {
-  CNashConfig cfg;
-  cfg.use_hardware = false;
-  cfg.sa.iterations = 200;
-  cfg.seed = 86;
-  CNashSolver solver(game::modified_prisoners_dilemma(), cfg);
-  for (const auto& o : solver.run(5)) {
+  const auto outcomes = solve(
+      sa_request(game::modified_prisoners_dilemma(), "exact-sa", 5, 86, 200));
+  for (const auto& o : outcomes) {
     EXPECT_TRUE(game::is_distribution(o.p));
     EXPECT_TRUE(game::is_distribution(o.q));
   }

@@ -62,15 +62,13 @@ void expect_row(const std::string& backend, std::uint64_t seed,
     req.seed = seed;
     req.intervals = inst.intervals;
     req.sa.iterations = inst.sa_iterations;
+    req.nash_eps = 1e-9;
     futures.push_back(SolverService::shared().submit(std::move(req)));
   }
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const game::BenchmarkInstance& inst = instances[i];
-    const SolveReport report = futures[i].get();
-    std::vector<CandidateSolution> cands;
-    for (const SolveSample& s : report.samples) cands.push_back({s.p, s.q});
-    const SolverReport r = classify(
-        inst.game, game::all_equilibria(inst.game), cands, 1e-9);
+    const SolverReport r =
+        tally(futures[i].get().samples, game::all_equilibria(inst.game));
     EXPECT_EQ(r.runs, kRuns) << backend << ": " << inst.game.name();
     EXPECT_EQ(r.successes(), pinned[i].successes)
         << backend << ": " << inst.game.name();
