@@ -150,14 +150,12 @@ SolveReport SolverBackend::solve(const SolveRequest& request) const {
 SaPreparedJob::SaPreparedJob(std::shared_ptr<const EvaluatorFactory> factory,
                              std::uint32_t intervals, SaOptions sa,
                              bool report_best, std::uint64_t seed,
-                             std::size_t num_runs, std::uint64_t base_run,
-                             double nash_eps)
+                             std::size_t num_runs, double nash_eps)
     : factory_(std::move(factory)),
       intervals_(intervals),
       sa_(sa),
       report_best_(report_best),
       root_(seed),
-      base_run_(base_run),
       num_runs_(num_runs),
       nash_eps_(nash_eps) {
   if (!factory_) throw std::invalid_argument("SaPreparedJob: null factory");
@@ -209,8 +207,8 @@ std::vector<SolveSample> SaPreparedJob::run_batch_unit(std::size_t unit) const {
   // families can never alias across runs. Lanes keep the per-run keys of the
   // scalar sweep, so any K produces bit-identical reports.
   const std::size_t k = std::max<std::size_t>(1, sa_.batch_lanes);
-  const std::uint64_t first = base_run_ + unit * k;
-  const std::size_t count = std::min(k, num_runs_ - unit * k);
+  const std::size_t first = unit * k;
+  const std::size_t count = std::min(k, num_runs_ - first);
   std::vector<std::uint64_t> keys(count);
   std::vector<util::Rng> rngs;
   rngs.reserve(count);
@@ -232,7 +230,7 @@ std::vector<SolveSample> SaPreparedJob::run_batch_unit(std::size_t unit) const {
 
 std::vector<SolveSample> SaPreparedJob::run_ensemble_unit(
     std::size_t unit) const {
-  const std::uint64_t e = base_run_ + unit;
+  const std::uint64_t e = unit;
   const std::size_t r = sa_.replicas;
   const std::uint64_t stride = static_cast<std::uint64_t>(r) + 1;
   std::vector<std::uint64_t> keys(r);
@@ -313,7 +311,7 @@ class SaBackend final : public SolverBackend {
     }
     auto job = std::make_unique<SaPreparedJob>(
         std::move(factory), request.intervals, request.sa, request.report_best,
-        request.seed, request.runs, /*base_run=*/0, request.nash_eps);
+        request.seed, request.runs, request.nash_eps);
     job->backend_name = name_;
     job->modeled_time_s = modeled;
     job->max_parallelism = request.max_parallelism;

@@ -202,8 +202,7 @@ class SolverRegistry {
   std::vector<std::unique_ptr<SolverBackend>> backends_;
 };
 
-/// The SA job shared by the hardware-sa[-tiled] / exact-sa backends and the
-/// SolverEngine.
+/// The SA job shared by the hardware-sa[-tiled] / exact-sa backends.
 ///
 /// Independent mode: runs are grouped into lockstep batches of
 /// sa.batch_lanes lanes; unit u covers runs [u*K, u*K + lanes). Run r keeps
@@ -221,8 +220,7 @@ class SaPreparedJob final : public PreparedJob {
  public:
   SaPreparedJob(std::shared_ptr<const EvaluatorFactory> factory,
                 std::uint32_t intervals, SaOptions sa, bool report_best,
-                std::uint64_t seed, std::size_t num_runs,
-                std::uint64_t base_run = 0, double nash_eps = 1e-7);
+                std::uint64_t seed, std::size_t num_runs, double nash_eps);
 
   std::size_t num_units() const override;
   std::vector<SolveSample> run_unit(std::size_t unit) const override;
@@ -236,7 +234,6 @@ class SaPreparedJob final : public PreparedJob {
   SaOptions sa_;
   bool report_best_;
   util::Rng root_;  // keyed splits only — never advanced
-  std::uint64_t base_run_;
   std::size_t num_runs_;
   double nash_eps_;
 };

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "game/strategy.hpp"
-
 namespace cnash::core {
 
 double SolverReport::success_rate() const {
@@ -30,35 +28,6 @@ std::size_t SolverReport::distinct_found() const {
   for (auto h : hits)
     if (h > 0) ++d;
   return d;
-}
-
-SolverReport classify(const game::BimatrixGame& game,
-                      const std::vector<game::Equilibrium>& ground_truth,
-                      const std::vector<CandidateSolution>& candidates,
-                      double nash_eps, double match_tol) {
-  SolverReport report;
-  report.hits.assign(ground_truth.size(), 0);
-  for (const auto& c : candidates) {
-    ++report.runs;
-    const bool valid = game::is_distribution(c.p, 1e-6) &&
-                       game::is_distribution(c.q, 1e-6) &&
-                       c.p.size() == game.num_actions1() &&
-                       c.q.size() == game.num_actions2();
-    const bool nash =
-        valid && game::is_nash_equilibrium(game, c.p, c.q, nash_eps);
-    if (!nash) {
-      ++report.errors;
-      continue;
-    }
-    if (game::is_pure_profile(c.p, c.q))
-      ++report.pure_successes;
-    else
-      ++report.mixed_successes;
-    const std::size_t idx =
-        game::match_equilibrium(ground_truth, c.p, c.q, match_tol);
-    if (idx != game::kNoMatch) ++report.hits[idx];
-  }
-  return report;
 }
 
 SolverReport tally(const std::vector<SolveSample>& samples,

@@ -9,16 +9,9 @@
 #include <vector>
 
 #include "core/sample.hpp"
-#include "game/game.hpp"
 #include "game/verify.hpp"
 
 namespace cnash::core {
-
-/// A solver-agnostic candidate (C-Nash run outcome or D-Wave proxy sample).
-struct CandidateSolution {
-  la::Vector p;
-  la::Vector q;
-};
 
 struct SolverReport {
   std::size_t runs = 0;
@@ -36,14 +29,6 @@ struct SolverReport {
   std::size_t distinct_found() const;
   std::size_t target() const { return hits.size(); }
 };
-
-/// Verify every candidate against the game and the ground-truth equilibrium
-/// list. A candidate is a success when it is an ε-NE; it additionally counts
-/// toward `hits` when it matches a ground-truth equilibrium within match_tol.
-SolverReport classify(const game::BimatrixGame& game,
-                      const std::vector<game::Equilibrium>& ground_truth,
-                      const std::vector<CandidateSolution>& candidates,
-                      double nash_eps = 1e-6, double match_tol = 1e-4);
 
 /// Tally ε-Nash-verified samples (e.g. SolveReport::samples) against a
 /// ground-truth equilibrium list. A sample is a success when its own verdict

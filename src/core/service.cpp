@@ -23,7 +23,7 @@ std::size_t resolve_pool_size(std::size_t threads) {
 /// `prepared` is written once under the lock before any unit is dispatched,
 /// so workers running units read it race-free.
 struct SolverService::Job {
-  // Request path (submit): resolved backend + request until prepared.
+  // Resolved backend + request until prepared.
   const SolverBackend* backend = nullptr;
   std::optional<SolveRequest> request;
   bool prepare_claimed = false;
@@ -96,19 +96,6 @@ void SolverService::fail_now(const std::shared_ptr<Job>& job,
     job->promise.set_exception(e);
 }
 
-void SolverService::enqueue(std::shared_ptr<Job> job) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (draining_) {
-      fail_now(job, std::make_exception_ptr(ServiceDrainingError(
-                        "SolverService: draining — not accepting new jobs")));
-      return;
-    }
-    jobs_.push_back(std::move(job));
-  }
-  cv_.notify_all();
-}
-
 void SolverService::submit_job(SolveRequest request, std::shared_ptr<Job> job) {
   // Submit-time validation: an unknown backend key or a request that could
   // only fail later on a worker thread resolves the job immediately with a
@@ -134,7 +121,16 @@ void SolverService::submit_job(SolveRequest request, std::shared_ptr<Job> job) {
                                              request.deadline_s));
   }
   job->request = std::move(request);
-  enqueue(std::move(job));
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (draining_) {
+      fail_now(job, std::make_exception_ptr(ServiceDrainingError(
+                        "SolverService: draining — not accepting new jobs")));
+      return;
+    }
+    jobs_.push_back(std::move(job));
+  }
+  cv_.notify_all();
 }
 
 std::future<SolveReport> SolverService::submit(SolveRequest request) {
@@ -148,29 +144,6 @@ void SolverService::submit_async(SolveRequest request, JobHooks hooks) {
   auto job = make_job();
   job->hooks = std::move(hooks);
   submit_job(std::move(request), std::move(job));
-}
-
-std::future<SolveReport> SolverService::submit_prepared(
-    std::unique_ptr<PreparedJob> prepared) {
-  auto job = make_job();
-  std::future<SolveReport> future = job->promise.get_future();
-  if (!prepared) {
-    job->promise.set_exception(std::make_exception_ptr(
-        std::invalid_argument("SolverService: null prepared job")));
-    return future;
-  }
-  job->prepared = std::move(prepared);
-  job->total = job->prepared->num_units();
-  job->cap = job->prepared->max_parallelism;
-  job->slots.resize(job->total);
-  if (job->total == 0) {
-    // Nothing to schedule; resolve inline.
-    SolveReport report = assemble_report(*job->prepared, {});
-    job->promise.set_value(std::move(report));
-    return future;
-  }
-  enqueue(std::move(job));
-  return future;
 }
 
 SolveReport SolverService::solve(SolveRequest request) {

@@ -1,7 +1,7 @@
 // SolverBackend registry: the string-keyed normalisation of all solver
 // families onto one SolveRequest → SolveReport contract — registry lookup
 // semantics, per-sample ε-Nash verification, and equivalence between the
-// synchronous solve() path, the service path and the legacy SolverEngine.
+// synchronous solve() path and the service path.
 
 #include <gtest/gtest.h>
 
@@ -92,33 +92,6 @@ TEST(SolverBackend, SynchronousSolveMatchesServiceSubmission) {
             samples_fingerprint(via_service.samples));
   EXPECT_EQ(direct.nash_count, via_service.nash_count);
   EXPECT_EQ(direct.best_objective, via_service.best_objective);
-}
-
-TEST(SolverBackend, HardwareSaReproducesTheSolverEngine) {
-  // Migration guarantee: the registry backend and the legacy engine drive the
-  // exact same keyed streams, so their outcomes are byte-identical.
-  const game::BimatrixGame g = game::bird_game();
-  const std::uint64_t seed = 0xFEED;
-
-  EngineOptions opts;
-  opts.intervals = 12;
-  opts.sa.iterations = 500;
-  opts.seed = seed;
-  SolverEngine engine(std::make_shared<HardwareEvaluatorFactory>(
-                          g, opts.intervals, TwoPhaseConfig{}, util::Rng(seed)),
-                      opts);
-  const auto engine_samples = engine.run(10);
-
-  SolveRequest req(g);
-  req.backend = "hardware-sa";
-  req.runs = 10;
-  req.seed = seed;
-  req.sa.iterations = 500;
-  const SolveReport report =
-      SolverRegistry::global().at("hardware-sa").solve(req);
-
-  EXPECT_EQ(samples_fingerprint(engine_samples),
-            samples_fingerprint(report.samples));
 }
 
 TEST(SolverBackend, TiledBackendByteReproducesMonolithicOnSingleTileGames) {

@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "core/backend.hpp"
-#include "core/engine.hpp"
 #include "core/service.hpp"
-#include "core/solver.hpp"
 #include "game/games.hpp"
 
 namespace cnash::core {
@@ -55,24 +53,6 @@ std::vector<SolveSample> solve(SolveRequest req) {
   return SolverService::shared().solve(std::move(req)).samples;
 }
 
-SolverEngine make_engine(bool hardware, std::size_t threads,
-                         std::uint64_t seed, std::size_t iterations = 600) {
-  const game::BimatrixGame g = game::bird_game();
-  EngineOptions opts;
-  opts.intervals = 12;
-  opts.sa.iterations = iterations;
-  opts.seed = seed;
-  opts.threads = threads;
-  std::shared_ptr<const EvaluatorFactory> factory;
-  if (hardware) {
-    factory = std::make_shared<HardwareEvaluatorFactory>(
-        g, opts.intervals, TwoPhaseConfig{}, util::Rng(seed));
-  } else {
-    factory = std::make_shared<ExactEvaluatorFactory>(g);
-  }
-  return SolverEngine(std::move(factory), opts);
-}
-
 TEST(ServiceDispatch, ThreadCapInvariantExactBackend) {
   const auto baseline = fingerprint(solve(bird_request(false, 1, 0xABCD, 24)));
   for (const std::size_t threads : {2u, 8u})
@@ -91,24 +71,6 @@ TEST(ServiceDispatch, ThreadCapInvariantHardwareBackend) {
         << "threads=" << threads;
 }
 
-TEST(SolverEngine, BatchesContinueTheRunSequence) {
-  auto once = make_engine(false, 1, 77);
-  auto split = make_engine(false, 4, 77);
-  const auto all = once.run(10);
-  auto head = split.run(4);
-  const auto tail = split.run(6);
-  head.insert(head.end(), tail.begin(), tail.end());
-  EXPECT_EQ(fingerprint(head), fingerprint(all));
-}
-
-TEST(SolverEngine, RewindReplaysRunZero) {
-  auto engine = make_engine(false, 2, 31);
-  const auto first = engine.run(5);
-  engine.rewind();
-  const auto replay = engine.run(5);
-  EXPECT_EQ(fingerprint(first), fingerprint(replay));
-}
-
 TEST(ServiceDispatch, DifferentSeedsProduceDifferentRuns) {
   EXPECT_NE(fingerprint(solve(bird_request(false, 2, 1, 8))),
             fingerprint(solve(bird_request(false, 2, 2, 8))));
@@ -123,11 +85,6 @@ TEST(ServiceDispatch, ReportBestNeverWorseThanFinal) {
   ASSERT_EQ(ob.size(), of.size());
   for (std::size_t i = 0; i < of.size(); ++i)
     EXPECT_LE(ob[i].objective, of[i].objective + 1e-12);
-}
-
-TEST(SolverEngine, ZeroRunsIsEmpty) {
-  auto engine = make_engine(false, 4, 99);
-  EXPECT_TRUE(engine.run(0).empty());
 }
 
 TEST(ServiceDispatch, ParallelRunsStillSolve) {
@@ -157,19 +114,6 @@ TEST(ServiceDispatch, SameSeedSameOutcomesAcrossThreadCaps) {
     else
       EXPECT_EQ(fp, baseline) << "threads=" << threads;
   }
-}
-
-TEST(SolverFacade, ProbeEvaluatorDoesNotPerturbRuns) {
-  CNashConfig cfg;
-  cfg.sa.iterations = 300;
-  cfg.seed = 808;
-  cfg.threads = 2;
-  CNashSolver with_probe(game::battle_of_sexes(), cfg);
-  ASSERT_NE(with_probe.hardware(), nullptr);
-  // Inspect the probe before running; run outcomes must not shift.
-  (void)with_probe.hardware()->chip_m().mapping().geometry();
-  CNashSolver untouched(game::battle_of_sexes(), cfg);
-  EXPECT_EQ(fingerprint(with_probe.run(6)), fingerprint(untouched.run(6)));
 }
 
 }  // namespace
