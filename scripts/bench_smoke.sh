@@ -2,12 +2,14 @@
 # Release-mode bench smoke: run every bench binary for a few iterations so a
 # perf-path crash (OOB table index, allocation blow-up, divergent loop) fails
 # CI instead of the next person's perf run. Also exercises the shared --json
-# reporting. Usage: scripts/bench_smoke.sh <build-dir> [out-dir]
+# reporting, and runs the solver examples end to end. Usage:
+# scripts/bench_smoke.sh <build-dir> [out-dir]
 set -euo pipefail
 
 build_dir=${1:?usage: bench_smoke.sh <build-dir> [out-dir]}
 out_dir=${2:-"$build_dir/bench-json"}
 mkdir -p "$out_dir"
+src_dir=$(cd "$(dirname "$0")/.." && pwd)
 
 runs=2
 threads=2
@@ -38,6 +40,18 @@ run "$build_dir/bench_ablation_squbo" $runs
 if [ -x "$build_dir/bench_micro_vmv" ]; then
   run "$build_dir/bench_micro_vmv" --benchmark_min_time=0.01 --json "$out_dir/"
 fi
+
+# The solver examples. quickstart promises the same results for any thread
+# count, so its stdout must not depend on --threads.
+echo "--- quickstart --threads 1 vs --threads 8 ---"
+example_dir=$(mktemp -d)
+trap 'rm -rf "$example_dir"' EXIT
+"$build_dir/quickstart" --threads 1 > "$example_dir/quickstart-1.txt"
+"$build_dir/quickstart" --threads 8 > "$example_dir/quickstart-8.txt"
+cmp "$example_dir/quickstart-1.txt" "$example_dir/quickstart-8.txt"
+run "$build_dir/mixed_strategy_hunt"
+run "$build_dir/repeated_pd_tournament"
+run "$build_dir/solve_file" --runs 20 "$src_dir/examples/games/battle_of_sexes.game"
 
 echo "bench smoke OK; JSON reports in $out_dir:"
 ls "$out_dir"
