@@ -1,7 +1,7 @@
 #pragma once
 // core::SolveSample — the one solution-candidate type every solver family
 // reports. Before the SolverBackend registry, each family had its own result
-// struct (the engine's RunOutcome, the D-Wave proxy's NashSample, raw
+// struct (the SA runs' RunOutcome, the D-Wave proxy's NashSample, raw
 // Equilibrium pairs from the exact solvers), so every cross-solver experiment
 // re-implemented its own normalisation. A sample is one candidate strategy
 // pair plus the backend-native objective and its ε-Nash verification verdict.

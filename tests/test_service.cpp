@@ -196,8 +196,8 @@ TEST(SolverService, ZeroRunRequestsRejectAtSubmitTime) {
 }
 
 TEST(SolverService, ZeroIntervalsRejectAtSubmitTime) {
-  // exact-sa with I = 0 used to reach a worker and spin there forever; it
-  // now resolves the future with std::invalid_argument before any unit runs.
+  // An exact-sa run on a grid with I = 0 never ends, so the request must
+  // resolve to std::invalid_argument before any unit reaches a worker.
   SolverService service(ServiceOptions{1});
   SolveRequest req = sa_request(game::battle_of_sexes(), "exact-sa", 1, 1, 5);
   req.intervals = 0;

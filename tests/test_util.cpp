@@ -98,7 +98,7 @@ TEST(Rng, SplitStreamsAreIndependentish) {
 
 TEST(Rng, KeyedSplitIsPureAndDeterministic) {
   // split(key) must not advance the parent and must be a pure function of
-  // (state, key): the engine relies on this to rebuild per-run streams.
+  // (state, key): SA jobs rely on this to rebuild per-run streams.
   Rng a(99), b(99);
   Rng s1 = a.split(7);
   Rng s2 = a.split(7);
