@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -909,6 +912,247 @@ TEST(ServeFairness, PipelinedBurstIsBoundedPerWakeup) {
   fixture.stop();
   EXPECT_EQ(fixture.server().served_stats().lines, 8u);
   EXPECT_GE(fixture.server().served_stats().fair_deferrals, 1u);
+}
+
+// ---- the `stats` payload and its `metrics` mirrors ---------------------------
+
+/// Every section of the `stats` payload with its keys, in wire order.
+const std::vector<std::pair<std::string, std::vector<std::string>>>
+    kStatsSchema = {
+        {"cache",
+         {"hits", "misses", "insertions", "evictions", "oversize_rejects",
+          "entries", "bytes", "byte_budget"}},
+        {"admission",
+         {"admitted", "shed_queue_full", "shed_connection_cap", "coalesced"}},
+        {"store",
+         {"enabled", "hits", "misses", "appends", "tombstones", "evictions",
+          "oversize_rejects", "compactions", "entries", "segments",
+          "live_raw_bytes", "live_value_bytes", "live_stored_bytes",
+          "dead_stored_bytes", "compressed_records", "stored_records",
+          "corrupt_records_skipped", "torn_tail_truncations", "byte_budget",
+          "compression_ratio"}},
+        {"served",
+         {"lines", "solves_ok", "cache_hits", "coalesced", "errors",
+          "jobs_submitted", "progress_frames", "fair_deferrals",
+          "write_stalls", "injected_disconnects", "overflow_closed",
+          "uncached_reports"}}};
+
+struct Mirror {
+  const char* section;
+  const char* key;
+  const char* instrument;
+  bool gauge;
+};
+
+/// Every `stats` number the metrics endpoint exports too.
+const Mirror kMirrors[] = {
+    {"cache", "hits", "cnash_cache_hits_total", false},
+    {"cache", "misses", "cnash_cache_misses_total", false},
+    {"cache", "insertions", "cnash_cache_insertions_total", false},
+    {"cache", "evictions", "cnash_cache_evictions_total", false},
+    {"cache", "oversize_rejects", "cnash_cache_oversize_rejects_total", false},
+    {"cache", "entries", "cnash_cache_entries", true},
+    {"cache", "bytes", "cnash_cache_bytes", true},
+    {"cache", "byte_budget", "cnash_cache_byte_budget_bytes", true},
+    {"admission", "admitted", "cnash_admission_admitted_total", false},
+    {"admission", "shed_queue_full", "cnash_admission_shed_queue_full_total",
+     false},
+    {"admission", "shed_connection_cap",
+     "cnash_admission_shed_connection_cap_total", false},
+    {"admission", "coalesced", "cnash_admission_coalesced_total", false},
+    {"store", "enabled", "cnash_store_enabled", true},
+    {"store", "hits", "cnash_store_hits_total", false},
+    {"store", "misses", "cnash_store_misses_total", false},
+    {"store", "appends", "cnash_store_appends_total", false},
+    {"store", "evictions", "cnash_store_evictions_total", false},
+    {"store", "compactions", "cnash_store_compactions_total", false},
+    {"store", "entries", "cnash_store_entries", true},
+    {"store", "segments", "cnash_store_segments", true},
+    {"store", "live_stored_bytes", "cnash_store_live_stored_bytes", true},
+    {"served", "lines", "cnash_requests_total", false},
+    {"served", "solves_ok", "cnash_served_solves_ok_total", false},
+    {"served", "cache_hits", "cnash_served_cache_hits_total", false},
+    {"served", "coalesced", "cnash_served_coalesced_total", false},
+    {"served", "errors", "cnash_served_errors_total", false},
+    {"served", "jobs_submitted", "cnash_served_jobs_submitted_total", false},
+    {"served", "progress_frames", "cnash_served_progress_frames_total", false},
+    {"served", "fair_deferrals", "cnash_served_fair_deferrals_total", false},
+    {"served", "write_stalls", "cnash_served_write_stalls_total", false},
+    {"served", "injected_disconnects",
+     "cnash_served_injected_disconnects_total", false},
+    {"served", "overflow_closed", "cnash_served_overflow_closed_total", false},
+    {"served", "uncached_reports", "cnash_served_uncached_reports_total",
+     false},
+};
+
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string tmpl = "/tmp/cnash_serve_test_XXXXXX";
+    const char* made = ::mkdtemp(tmpl.data());
+    EXPECT_NE(made, nullptr);
+    dir_ = made ? made : "";
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    if (!dir_.empty()) std::filesystem::remove_all(dir_, ec);
+  }
+  const std::string& path() const { return dir_; }
+
+ private:
+  std::string dir_;
+};
+
+TEST(ServeStats, FixedScenarioPinsThePayloadAndItsMetricsMirrors) {
+  ScratchDir dir;
+  ServeOptions options;
+  options.service_threads = 2;
+  options.admission.per_connection_inflight = 2;
+  options.store_dir = dir.path();
+  ServerFixture fixture(options);
+  TestClient client;
+  client.connect_to(fixture.port());
+
+  // A miss, then the same solve as a hit.
+  const game::BimatrixGame g = game::battle_of_sexes();
+  ASSERT_FALSE(client.request(solve_line(g, 1)).at("cached").as_bool());
+  ASSERT_TRUE(client.request(solve_line(g, 2)).at("cached").as_bool());
+
+  // One write on a second connection: a slow solve, its duplicate (coalesced:
+  // the connection's second in-flight slot) and a distinct solve that finds
+  // both slots taken (shed at the connection cap, answered first).
+  util::Rng rng(31);
+  const game::BimatrixGame big = game::random_integer_game(10, 10, rng);
+  const std::string burst = solve_line(big, 10, "hardware-sa", 6, 20000) +
+                            "\n" + solve_line(big, 11, "hardware-sa", 6, 20000) +
+                            "\n" +
+                            solve_line(big, 12, "hardware-sa", 6, 20000, 8) +
+                            "\n";
+  LineClient pipeliner;
+  ASSERT_TRUE(pipeliner.connect_to(fixture.port())) << std::strerror(errno);
+  ASSERT_TRUE(pipeliner.send_raw(burst.data(), burst.size()));
+  std::string line;
+  ASSERT_TRUE(pipeliner.recv_line(line));
+  const util::Json shed = util::Json::parse(line);
+  EXPECT_EQ(shed.at("id").as_number(), 12.0) << line;
+  EXPECT_EQ(shed.at("error").at("code").as_string(), "overloaded");
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(pipeliner.recv_line(line));
+    EXPECT_TRUE(util::Json::parse(line).at("ok").as_bool()) << line;
+  }
+
+  // A malformed line, then a solve cut off by its deadline (degraded, so
+  // never cached).
+  EXPECT_FALSE(client.request("this is not json").at("ok").as_bool());
+  const game::BimatrixGame wide = game::random_integer_game(64, 64, rng);
+  const util::Json degraded = client.request(solve_line(
+      wide, 20, "exact-sa", 32, 5000, 12,
+      ",\"deadline_s\":0.001,\"batch_lanes\":1"));
+  ASSERT_TRUE(degraded.at("ok").as_bool()) << degraded.dump();
+  ASSERT_TRUE(degraded.at("report").at("degraded").as_bool());
+
+  const util::Json stats = client.request("{\"method\":\"stats\"}").at("stats");
+  ASSERT_EQ(stats.members().size(), kStatsSchema.size());
+  for (std::size_t s = 0; s < kStatsSchema.size(); ++s) {
+    const auto& [section, keys] = kStatsSchema[s];
+    ASSERT_EQ(stats.members()[s].first, section);
+    const util::Json& body = stats.members()[s].second;
+    ASSERT_EQ(body.members().size(), keys.size()) << section;
+    for (std::size_t k = 0; k < keys.size(); ++k)
+      EXPECT_EQ(body.members()[k].first, keys[k]) << section;
+  }
+
+  const util::Json& cache = stats.at("cache");
+  const util::Json& admission = stats.at("admission");
+  const util::Json& served = stats.at("served");
+  EXPECT_EQ(cache.at("hits").as_number(), 1.0);
+  EXPECT_EQ(admission.at("coalesced").as_number(), 1.0);
+  EXPECT_EQ(admission.at("shed_connection_cap").as_number(), 1.0);
+  EXPECT_EQ(served.at("jobs_submitted").as_number(), 3.0);
+  EXPECT_EQ(served.at("errors").as_number(), 2.0);
+  EXPECT_EQ(served.at("uncached_reports").as_number(), 1.0);
+  EXPECT_EQ(stats.at("store").at("appends").as_number(), 2.0);
+  // Every admitted solve is either coalesced onto a job or submits one.
+  EXPECT_EQ(served.at("coalesced").as_number(),
+            admission.at("coalesced").as_number());
+  EXPECT_EQ(served.at("jobs_submitted").as_number(),
+            admission.at("admitted").as_number() -
+                admission.at("coalesced").as_number());
+
+  const util::Json metrics =
+      client.request("{\"method\":\"metrics\"}").at("metrics");
+  for (const Mirror& m : kMirrors) {
+    const util::Json& value = stats.at(m.section).at(m.key);
+    double expected = value.is_bool() ? (value.as_bool() ? 1.0 : 0.0)
+                                      : value.as_number();
+    // The metrics request is itself one more request line.
+    if (std::string(m.instrument) == "cnash_requests_total") expected += 1.0;
+    EXPECT_EQ(metrics.at(m.gauge ? "gauges" : "counters")
+                  .at(m.instrument)
+                  .as_number(),
+              expected)
+        << m.section << "." << m.key;
+  }
+}
+
+// ---- protocol-abuse guards --------------------------------------------------
+
+TEST(ServeGuards, OverlongLineGetsBadRequestThenClose) {
+  ServeOptions options;
+  options.max_line_bytes = 64;
+  ServerFixture fixture(options);
+  LineClient client;
+  ASSERT_TRUE(client.connect_to(fixture.port())) << std::strerror(errno);
+
+  const std::string unterminated(200, 'x');
+  ASSERT_TRUE(client.send_raw(unterminated.data(), unterminated.size()));
+  std::string line;
+  ASSERT_TRUE(client.recv_line(line));
+  const util::Json j = util::Json::parse(line);
+  EXPECT_FALSE(j.at("ok").as_bool());
+  EXPECT_EQ(j.at("error").at("code").as_string(), "bad_request");
+  EXPECT_NE(j.at("error").at("message").as_string().find("64 bytes"),
+            std::string::npos)
+      << line;
+  EXPECT_FALSE(client.recv_line(line)) << "expected close";
+}
+
+TEST(ServeGuards, NonReadingPipelinerIsAbortedAtTheOutputCap) {
+  ServeOptions options;
+  options.max_output_bytes = 64u << 10;
+  ServerFixture fixture(options);
+  // Each response is several KiB of Prometheus text.
+  const std::string scrape = "{\"method\":\"metrics\",\"format\":\"text\"}";
+
+  // A peer that reads its responses never trips the cap.
+  TestClient reader;
+  reader.connect_to(fixture.port());
+  for (int i = 0; i < 50; ++i)
+    ASSERT_TRUE(reader.request(scrape).at("ok").as_bool());
+
+  // A peer that pipelines 2000 scrapes (over 10 MB of responses, more than
+  // the socket buffers hold) and never reads fills the server's output
+  // buffer past the cap.
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += scrape + "\n";
+  LineClient flooder;
+  ASSERT_TRUE(flooder.connect_to(fixture.port())) << std::strerror(errno);
+  ASSERT_TRUE(flooder.send_raw(burst.data(), burst.size()));
+
+  double closed = 0.0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (closed == 0.0 && std::chrono::steady_clock::now() < deadline)
+    closed = reader.request("{\"method\":\"stats\"}")
+                 .at("stats")
+                 .at("served")
+                 .at("overflow_closed")
+                 .as_number();
+  ASSERT_EQ(closed, 1.0);
+  // The aborted connection is torn down: its reads end.
+  std::string line;
+  while (flooder.recv_line(line)) {
+  }
 }
 
 }  // namespace
