@@ -61,7 +61,7 @@ struct ServiceOptions {
   /// Backend registry to resolve request.backend against;
   /// nullptr = SolverRegistry::global().
   const SolverRegistry* registry = nullptr;
-  ServiceTelemetry telemetry;
+  ServiceTelemetry telemetry = {};
 };
 
 /// Best-so-far snapshot of a running job, emitted to JobHooks::on_progress

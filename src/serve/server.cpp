@@ -177,7 +177,8 @@ struct NashServer::Loop {
     if (want == conn.want_write) return;
     conn.want_write = want;
     epoll_event ev{};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0);
+    ev.events = EPOLLIN;
+    if (want) ev.events |= EPOLLOUT;
     ev.data.u64 = conn.id;
     ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
   }

@@ -453,7 +453,9 @@ TEST(ServeObservability, ReplicaExchangeSwapRatesSurfaceInMetrics) {
       metrics.at("gauges").at("cnash_re_swap_accept_rate").as_number();
   EXPECT_GE(rate, 0.0);
   EXPECT_LE(rate, 1.0);
-  if (proposals > 0.0) EXPECT_EQ(rate, accepts / proposals);
+  if (proposals > 0.0) {
+    EXPECT_EQ(rate, accepts / proposals);
+  }
 }
 
 TEST(ServeObservability, StatusCarriesBuildAndDeploymentIdentity) {
@@ -509,9 +511,11 @@ TEST(ServeObservability, TracedRunUnderFourLoopsYieldsCompletePipelines) {
               m(r, c) = rng.uniform();
               n(r, c) = rng.uniform();
             }
-          const game::BimatrixGame g(
-              std::move(m), std::move(n),
-              "t" + std::to_string(t) + "g" + std::to_string(i));
+          std::string name = "t";
+          name += std::to_string(t);
+          name += 'g';
+          name += std::to_string(i);
+          const game::BimatrixGame g(std::move(m), std::move(n), name);
           const util::Json r =
               roundtrip(client, solve_line(g, t * 10 + i));
           ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();

@@ -191,8 +191,11 @@ TEST(SimdKernels, AxpySkipPreservesSkippedElement) {
     std::vector<double> y = y0;
     axpy_skip(y.data(), 1.5, x.data(), n, skip);
     EXPECT_EQ(y[skip], y0[skip]) << "skip=" << skip;
-    for (std::size_t i = 0; i < n; ++i)
-      if (i != skip) EXPECT_EQ(y[i], y0[i] + 1.5 * x[i]) << "i=" << i;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != skip) {
+        EXPECT_EQ(y[i], y0[i] + 1.5 * x[i]) << "i=" << i;
+      }
+    }
   }
 }
 
