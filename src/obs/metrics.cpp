@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 namespace cnash::obs {
 
@@ -125,15 +126,26 @@ void Histogram::merge(const Histogram& other) {
 
 namespace {
 
-/// Scan-or-append in a name→instrument vector (registration is rare; callers
+/// `name{a="b"}` → `name`.
+std::string_view base_name(std::string_view name) {
+  return name.substr(0, name.find('{'));
+}
+
+/// Scan-or-insert in a name→instrument vector (registration is rare; callers
 /// cache the reference, so linear scan beats a map plus pointer chasing).
 template <class T>
 T& intern(std::vector<std::pair<std::string, std::unique_ptr<T>>>& slots,
           const std::string& name) {
   for (auto& [n, slot] : slots)
     if (n == name) return *slot;
-  slots.emplace_back(name, std::make_unique<T>());
-  return *slots.back().second;
+  // A new series goes right after the last one of its family (same base
+  // name): families stay contiguous, so the text exposition prints one TYPE
+  // line per family, as Prometheus' text format requires.
+  const std::string_view base = base_name(name);
+  auto at = slots.end();
+  for (auto it = slots.begin(); it != slots.end(); ++it)
+    if (base_name(it->first) == base) at = std::next(it);
+  return *slots.emplace(at, name, std::make_unique<T>())->second;
 }
 
 /// `name{a="b"}` → base `name`, labels `a="b"` (empty when unlabeled).

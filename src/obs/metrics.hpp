@@ -129,7 +129,8 @@ class Histogram {
 /// Named instrument registry. Instrument names follow Prometheus convention
 /// (`cnash_cache_hits_total`); an optional label set may be embedded in the
 /// name (`cnash_solve_jobs_total{backend="hardware-sa"}`) — the text
-/// exposition emits one TYPE line per base name.
+/// exposition emits one TYPE line per base name. A family's series are kept
+/// together, families in first-registration order.
 class Registry {
  public:
   Counter& counter(const std::string& name);
@@ -142,7 +143,8 @@ class Registry {
   void on_collect(std::function<void()> fn);
 
   /// {"counters":{name:value},"gauges":{...},"histograms":{name:{count,sum,
-  /// min,max,p50,p95,p99}}} — names in registration order.
+  /// min,max,p50,p95,p99}}} — names in registration order, each family's
+  /// series together.
   util::Json to_json() const;
 
   /// Prometheus text exposition: counters/gauges verbatim, histograms as
@@ -153,8 +155,9 @@ class Registry {
   void run_collectors() const;
 
   mutable std::mutex mutex_;
-  // Registration order is the exposition order; unique_ptr keeps instrument
-  // addresses stable across rehash/regrowth.
+  // Registration order, each family kept contiguous, is the exposition
+  // order; unique_ptr keeps instrument addresses stable across insertion and
+  // regrowth.
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
   std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;

@@ -243,6 +243,22 @@ TEST(Registry, TextExpositionMergesLabeledSeriesUnderOneTypeLine) {
   EXPECT_EQ(text.back(), '\n');
 }
 
+TEST(Registry, TextExpositionKeepsAFamilyTogetherAcrossLaterRegistrations) {
+  // A labelled series registered after another family (a second backend's
+  // first solve) still joins its family: Prometheus' text parser rejects a
+  // second TYPE line for one family.
+  Registry reg;
+  reg.counter("a_total{k=\"x\"}").add(1);
+  reg.counter("b_total").add(2);
+  reg.counter("a_total{k=\"y\"}").add(3);
+  EXPECT_EQ(reg.text_exposition(),
+            "# TYPE a_total counter\n"
+            "a_total{k=\"x\"} 1\n"
+            "a_total{k=\"y\"} 3\n"
+            "# TYPE b_total counter\n"
+            "b_total 2\n");
+}
+
 // ---- TraceRecorder / Span ---------------------------------------------------
 
 TEST(Trace, DisabledRecorderRecordsNothing) {
