@@ -114,21 +114,23 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, handle_signal);
     server.start();
     server.run();  // returns after a signal-triggered graceful drain
-    const auto& served = server.served_stats();
-    const auto& cache = server.cache_stats();
+    const cnash::util::Json stats = server.stats();
+    const auto count = [&stats](const char* section, const char* key) {
+      return static_cast<std::size_t>(stats.at(section).at(key).as_number());
+    };
     std::fprintf(stderr,
                  "nash_serve: drained — %zu solves served (%zu cache hits, "
                  "%zu coalesced), %zu errors, %zu jobs submitted\n",
-                 served.solves_ok, cache.hits, served.coalesced, served.errors,
-                 served.jobs_submitted);
-    if (const cnash::store::SolutionStore* store = server.store()) {
-      const cnash::store::StoreStats sts = store->stats();
+                 count("served", "solves_ok"), count("cache", "hits"),
+                 count("served", "coalesced"), count("served", "errors"),
+                 count("served", "jobs_submitted"));
+    if (stats.at("store").at("enabled").as_bool())
       std::fprintf(stderr,
                    "nash_serve: store — %zu entries in %zu segments, "
                    "%zu hits / %zu appends, %.2fx compression\n",
-                   sts.entries, sts.segments, sts.hits, sts.appends,
-                   sts.compression_ratio());
-    }
+                   count("store", "entries"), count("store", "segments"),
+                   count("store", "hits"), count("store", "appends"),
+                   stats.at("store").at("compression_ratio").as_number());
     if (!options.trace_out.empty()) {
       const cnash::obs::TraceRecorder& trace = server.trace_recorder();
       std::fprintf(stderr,

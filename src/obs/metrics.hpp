@@ -21,10 +21,10 @@
 // per-thread histograms can be combined without loss.
 //
 // Mirrored stats: subsystems that already keep their own aggregate structs
-// under their own locks (cache, admission, store, ServedStats) register a
-// collect callback; the registry runs all callbacks at the top of a scrape
-// so those instruments are refreshed consistently. Callbacks run outside
-// the registry mutex and may take subsystem locks.
+// under their own locks (the gateway's cache, admission controller and
+// store) register a collect callback; the registry runs all callbacks at the
+// top of a scrape so those instruments are refreshed consistently. Callbacks
+// run outside the registry mutex and may take subsystem locks.
 
 #include <atomic>
 #include <cstdint>

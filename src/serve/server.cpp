@@ -244,97 +244,19 @@ void NashServer::init_telemetry() {
   re_swap_accepts_ = &registry_.counter("cnash_re_swap_accepts_total");
   fallback_samples_ = &registry_.counter("cnash_fallback_samples_total");
   degraded_reports_ = &registry_.counter("cnash_degraded_reports_total");
+  requests_ = &registry_.counter("cnash_requests_total");
+  solves_ok_ = &registry_.counter("cnash_served_solves_ok_total");
+  cache_hits_ = &registry_.counter("cnash_served_cache_hits_total");
+  errors_ = &registry_.counter("cnash_served_errors_total");
+  progress_frames_ = &registry_.counter("cnash_served_progress_frames_total");
+  fair_deferrals_ = &registry_.counter("cnash_served_fair_deferrals_total");
+  write_stalls_ = &registry_.counter("cnash_served_write_stalls_total");
+  injected_disconnects_ =
+      &registry_.counter("cnash_served_injected_disconnects_total");
+  overflow_closed_ = &registry_.counter("cnash_served_overflow_closed_total");
+  uncached_reports_ =
+      &registry_.counter("cnash_served_uncached_reports_total");
   registry_.on_collect([this] { collect_mirrors(); });
-}
-
-void NashServer::collect_mirrors() {
-  CacheStats cs;
-  AdmissionStats as;
-  std::size_t pending = 0;
-  {
-    std::lock_guard<std::mutex> lock(gate_);
-    cs = cache_.stats();
-    as = admission_.stats();
-    pending = pending_.size();
-  }
-  registry_.counter("cnash_cache_hits_total").set(cs.hits);
-  registry_.counter("cnash_cache_misses_total").set(cs.misses);
-  registry_.counter("cnash_cache_insertions_total").set(cs.insertions);
-  registry_.counter("cnash_cache_evictions_total").set(cs.evictions);
-  registry_.counter("cnash_cache_oversize_rejects_total")
-      .set(cs.oversize_rejects);
-  registry_.gauge("cnash_cache_entries").set(static_cast<double>(cs.entries));
-  registry_.gauge("cnash_cache_bytes").set(static_cast<double>(cs.bytes));
-  registry_.gauge("cnash_cache_byte_budget_bytes")
-      .set(static_cast<double>(cs.byte_budget));
-
-  registry_.counter("cnash_admission_admitted_total").set(as.admitted);
-  registry_.counter("cnash_admission_shed_queue_full_total")
-      .set(as.shed_queue_full);
-  registry_.counter("cnash_admission_shed_connection_cap_total")
-      .set(as.shed_connection_cap);
-  registry_.counter("cnash_admission_coalesced_total").set(as.coalesced);
-
-  // The tier-2 store keeps its own mutex: snapshot outside the gate. The
-  // instruments exist (all-zero) even without --store-dir so the exposition
-  // schema is stable.
-  const store::StoreStats sts = store_ ? store_->stats() : store::StoreStats{};
-  registry_.gauge("cnash_store_enabled").set(store_ ? 1.0 : 0.0);
-  registry_.counter("cnash_store_hits_total").set(sts.hits);
-  registry_.counter("cnash_store_misses_total").set(sts.misses);
-  registry_.counter("cnash_store_appends_total").set(sts.appends);
-  registry_.counter("cnash_store_evictions_total").set(sts.evictions);
-  registry_.counter("cnash_store_compactions_total").set(sts.compactions);
-  registry_.gauge("cnash_store_entries").set(static_cast<double>(sts.entries));
-  registry_.gauge("cnash_store_segments")
-      .set(static_cast<double>(sts.segments));
-  registry_.gauge("cnash_store_live_stored_bytes")
-      .set(static_cast<double>(sts.live_stored_bytes));
-
-  const ServedStats ss = served_stats();
-  registry_.counter("cnash_requests_total").set(ss.lines);
-  registry_.counter("cnash_served_solves_ok_total").set(ss.solves_ok);
-  registry_.counter("cnash_served_cache_hits_total").set(ss.cache_hits);
-  registry_.counter("cnash_served_coalesced_total").set(ss.coalesced);
-  registry_.counter("cnash_served_errors_total").set(ss.errors);
-  registry_.counter("cnash_served_jobs_submitted_total")
-      .set(ss.jobs_submitted);
-  registry_.counter("cnash_served_progress_frames_total")
-      .set(ss.progress_frames);
-  registry_.counter("cnash_served_fair_deferrals_total")
-      .set(ss.fair_deferrals);
-  registry_.counter("cnash_served_write_stalls_total").set(ss.write_stalls);
-  registry_.counter("cnash_served_injected_disconnects_total")
-      .set(ss.injected_disconnects);
-  registry_.counter("cnash_served_overflow_closed_total")
-      .set(ss.overflow_closed);
-  registry_.counter("cnash_served_uncached_reports_total")
-      .set(ss.uncached_reports);
-
-  const core::SolverService::QueueDepth depth = service_.queue_depth();
-  registry_.gauge("cnash_service_threads")
-      .set(static_cast<double>(service_.threads()));
-  registry_.gauge("cnash_service_jobs").set(static_cast<double>(depth.jobs));
-  registry_.gauge("cnash_service_queued_units")
-      .set(static_cast<double>(depth.queued_units));
-  registry_.gauge("cnash_service_in_flight_units")
-      .set(static_cast<double>(depth.in_flight_units));
-
-  registry_.gauge("cnash_pending_solves").set(static_cast<double>(pending));
-  registry_.gauge("cnash_connections")
-      .set(static_cast<double>(
-          connections_.load(std::memory_order_relaxed)));
-  registry_.gauge("cnash_uptime_seconds")
-      .set(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         started_)
-               .count());
-
-  // Derived Earl & Deem observable: the replica-exchange acceptance rate.
-  const std::uint64_t props = re_swap_proposals_->value();
-  registry_.gauge("cnash_re_swap_accept_rate")
-      .set(props ? static_cast<double>(re_swap_accepts_->value()) /
-                       static_cast<double>(props)
-                 : 0.0);
 }
 
 NashServer::~NashServer() {
@@ -555,7 +477,7 @@ void NashServer::Loop::process_inbox() {
 
     switch (d.kind) {
       case Delivery::kFinal: {
-        server->counters_.solves_ok.fetch_add(1, std::memory_order_relaxed);
+        server->solves_ok_->add();
         {
           Stage stage(server->trace_, "render", d.trace_id,
                       server->stage_render_);
@@ -573,8 +495,7 @@ void NashServer::Loop::process_inbox() {
         break;
       case Delivery::kProgress:
         if (!conn.aborted) {
-          server->counters_.progress_frames.fetch_add(
-              1, std::memory_order_relaxed);
+          server->progress_frames_->add();
           render_progress_body(conn.session.body, d.id, d.snapshot);
           send_body(conn, kFrameProgress, /*is_error=*/false);
         }
@@ -631,7 +552,7 @@ void NashServer::Loop::process_input(std::uint64_t conn_id) {
         header = peek_frame(conn.in, server->options_.max_line_bytes);
       } catch (const ProtocolError& e) {
         // A broken frame header desynchronises the stream — answer and close.
-        server->counters_.lines.fetch_add(1, std::memory_order_relaxed);
+        server->requests_->add();
         render_error_body(conn.session.body, util::Json(), e.code(), e.what());
         send_body(conn, kFrameError, /*is_error=*/true);
         conn.in.clear();
@@ -642,7 +563,7 @@ void NashServer::Loop::process_input(std::uint64_t conn_id) {
       conn.scratch.assign(conn.in, kFrameHeaderSize, header->length);
       conn.in.erase(0, kFrameHeaderSize + header->length);
       handled++;
-      server->counters_.lines.fetch_add(1, std::memory_order_relaxed);
+      server->requests_->add();
       const std::uint64_t tid =
           server->trace_.enabled() ? server->trace_.new_trace_id() : 0;
       Stage request_stage(server->trace_, "request", tid,
@@ -679,7 +600,7 @@ void NashServer::Loop::process_input(std::uint64_t conn_id) {
         conn.scratch.pop_back();
       if (conn.scratch.empty()) continue;
       handled++;
-      server->counters_.lines.fetch_add(1, std::memory_order_relaxed);
+      server->requests_->add();
       const std::uint64_t tid =
           server->trace_.enabled() ? server->trace_.new_trace_id() : 0;
       Stage request_stage(server->trace_, "request", tid,
@@ -733,7 +654,7 @@ void NashServer::Loop::process_input(std::uint64_t conn_id) {
            : conn.in.find('\n') != std::string::npos);
   if (more) {
     backlog.push_back(conn_id);
-    server->counters_.fair_deferrals.fetch_add(1, std::memory_order_relaxed);
+    server->fair_deferrals_->add();
   }
 }
 
@@ -796,7 +717,7 @@ void NashServer::Loop::final_flush_and_close() {
 void NashServer::Loop::send_body(Connection& conn, unsigned char frame_type,
                                  bool is_error) {
   if (is_error)
-    server->counters_.errors.fetch_add(1, std::memory_order_relaxed);
+    server->errors_->add();
   if (conn.aborted) return;
   if (conn.framing == Connection::kBinary) {
     encode_frame(frame_type, conn.session.body, conn.out);
@@ -810,7 +731,7 @@ void NashServer::Loop::send_body(Connection& conn, unsigned char frame_type,
   if (conn.out.size() > server->options_.max_output_bytes) {
     conn.out.clear();
     conn.aborted = true;
-    server->counters_.overflow_closed.fetch_add(1, std::memory_order_relaxed);
+    server->overflow_closed_->add();
     return;
   }
   flush(conn);
@@ -830,14 +751,13 @@ void NashServer::Loop::flush(Connection& conn) {
     if (fault.roll(Scope::kDisconnect, roll_index, fault.disconnect_rate)) {
       conn.out.clear();
       conn.aborted = true;
-      server->counters_.injected_disconnects.fetch_add(
-          1, std::memory_order_relaxed);
+      server->injected_disconnects_->add();
       return;
     }
     if (fault.roll(Scope::kWriteStall, roll_index, fault.write_stall_rate)) {
       const ssize_t sent = ::send(conn.fd, conn.out.data(), 1, MSG_NOSIGNAL);
       if (sent > 0) conn.out.erase(0, static_cast<std::size_t>(sent));
-      server->counters_.write_stalls.fetch_add(1, std::memory_order_relaxed);
+      server->write_stalls_->add();
       return;  // rest stays buffered; EPOLLOUT resumes it
     }
   }
@@ -868,7 +788,7 @@ void NashServer::handle_request(Loop& loop, Connection& conn,
     render_ok_body(conn.session.body, request.id, "status", status_payload());
     loop.send_body(conn, kFrameFinal, /*is_error=*/false);
   } else if (request.method == "stats") {
-    render_ok_body(conn.session.body, request.id, "stats", stats_payload());
+    render_ok_body(conn.session.body, request.id, "stats", stats());
     loop.send_body(conn, kFrameFinal, /*is_error=*/false);
   } else if (request.method == "metrics") {
     // Scrape path: the registry's collect callback takes the gate (briefly)
@@ -934,8 +854,8 @@ void NashServer::handle_solve(Loop& loop, Connection& conn,
         hit = cache_.lookup(canonical.key);
       }
       if (hit) {
-        counters_.solves_ok.fetch_add(1, std::memory_order_relaxed);
-        counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+        solves_ok_->add();
+        cache_hits_->add();
         outcome = Outcome::kHit;
       } else {
         // Layer 1b: coalesce onto an identical in-flight solve — the
@@ -952,7 +872,6 @@ void NashServer::handle_solve(Loop& loop, Connection& conn,
             shed_retry = admission_.retry_after_s(pending_.size());
           } else {
             admission_.note_coalesced();
-            counters_.coalesced.fetch_add(1, std::memory_order_relaxed);
             conn.inflight++;
             pending->waiters.push_back({&loop, conn.id, request.id,
                                         std::move(canonical.mapping),
@@ -986,7 +905,6 @@ void NashServer::handle_solve(Loop& loop, Connection& conn,
                                   request.progress, trace_id});
         pending_.push_back(std::move(owned));
         conn.inflight++;
-        counters_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -1107,7 +1025,7 @@ void NashServer::complete_solve(InFlight* entry, core::SolveReport&& report,
     if (!shared->degraded && shared->fallback_count == 0)
       cache_.insert(key, shared);
     else
-      counters_.uncached_reports.fetch_add(1, std::memory_order_relaxed);
+      uncached_reports_->add();
   }
 
   for (InFlight::Waiter& waiter : waiters) {
@@ -1130,27 +1048,6 @@ void NashServer::complete_solve(InFlight* entry, core::SolveReport&& report,
 }
 
 // ---- Introspection ----------------------------------------------------------
-
-ServedStats NashServer::served_stats() const {
-  ServedStats s;
-  s.lines = counters_.lines.load(std::memory_order_relaxed);
-  s.solves_ok = counters_.solves_ok.load(std::memory_order_relaxed);
-  s.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
-  s.coalesced = counters_.coalesced.load(std::memory_order_relaxed);
-  s.errors = counters_.errors.load(std::memory_order_relaxed);
-  s.jobs_submitted = counters_.jobs_submitted.load(std::memory_order_relaxed);
-  s.progress_frames =
-      counters_.progress_frames.load(std::memory_order_relaxed);
-  s.fair_deferrals = counters_.fair_deferrals.load(std::memory_order_relaxed);
-  s.write_stalls = counters_.write_stalls.load(std::memory_order_relaxed);
-  s.injected_disconnects =
-      counters_.injected_disconnects.load(std::memory_order_relaxed);
-  s.overflow_closed =
-      counters_.overflow_closed.load(std::memory_order_relaxed);
-  s.uncached_reports =
-      counters_.uncached_reports.load(std::memory_order_relaxed);
-  return s;
-}
 
 util::Json NashServer::status_payload() {
   util::Json status = util::Json::object();
@@ -1184,75 +1081,152 @@ util::Json NashServer::status_payload() {
   return status;
 }
 
-util::Json NashServer::stats_payload() {
-  util::Json stats = util::Json::object();
+/// One number of the `stats` payload. `mirror` names the instrument the
+/// collect callback copies it into; the request counters need none (they are
+/// registry counters already), and some store numbers are `stats`-only.
+struct NashServer::StatsEntry {
+  const char* section;
+  const char* key;
+  util::Json value;
+  const char* mirror = nullptr;
+  bool gauge = false;  // else a counter
+};
 
+std::vector<NashServer::StatsEntry> NashServer::stats_entries() const {
+  CacheStats cs;
+  AdmissionStats as;
   {
     std::lock_guard<std::mutex> lock(gate_);
-    util::Json cache = util::Json::object();
-    const CacheStats& cs = cache_.stats();
-    cache.set("hits", cs.hits);
-    cache.set("misses", cs.misses);
-    cache.set("insertions", cs.insertions);
-    cache.set("evictions", cs.evictions);
-    cache.set("oversize_rejects", cs.oversize_rejects);
-    cache.set("entries", cs.entries);
-    cache.set("bytes", cs.bytes);
-    cache.set("byte_budget", cs.byte_budget);
-    stats.set("cache", std::move(cache));
+    cs = cache_.stats();
+    as = admission_.stats();
+  }
+  // The tier-2 store keeps its own mutex, so its snapshot is taken outside
+  // the gate. Its section is always present (all-zero when disabled) so
+  // dashboards can rely on the schema.
+  const store::StoreStats st = store_ ? store_->stats() : store::StoreStats{};
+  const auto n = [](std::uint64_t v) {
+    return util::Json::number(static_cast<double>(v));
+  };
+  constexpr bool kGauge = true;
+  return {
+      {"cache", "hits", n(cs.hits), "cnash_cache_hits_total"},
+      {"cache", "misses", n(cs.misses), "cnash_cache_misses_total"},
+      {"cache", "insertions", n(cs.insertions),
+       "cnash_cache_insertions_total"},
+      {"cache", "evictions", n(cs.evictions), "cnash_cache_evictions_total"},
+      {"cache", "oversize_rejects", n(cs.oversize_rejects),
+       "cnash_cache_oversize_rejects_total"},
+      {"cache", "entries", n(cs.entries), "cnash_cache_entries", kGauge},
+      {"cache", "bytes", n(cs.bytes), "cnash_cache_bytes", kGauge},
+      {"cache", "byte_budget", n(cs.byte_budget),
+       "cnash_cache_byte_budget_bytes", kGauge},
+      {"admission", "admitted", n(as.admitted),
+       "cnash_admission_admitted_total"},
+      {"admission", "shed_queue_full", n(as.shed_queue_full),
+       "cnash_admission_shed_queue_full_total"},
+      {"admission", "shed_connection_cap", n(as.shed_connection_cap),
+       "cnash_admission_shed_connection_cap_total"},
+      {"admission", "coalesced", n(as.coalesced),
+       "cnash_admission_coalesced_total"},
+      {"store", "enabled", util::Json::boolean(store_ != nullptr),
+       "cnash_store_enabled", kGauge},
+      {"store", "hits", n(st.hits), "cnash_store_hits_total"},
+      {"store", "misses", n(st.misses), "cnash_store_misses_total"},
+      {"store", "appends", n(st.appends), "cnash_store_appends_total"},
+      {"store", "tombstones", n(st.tombstones)},
+      {"store", "evictions", n(st.evictions), "cnash_store_evictions_total"},
+      {"store", "oversize_rejects", n(st.oversize_rejects)},
+      {"store", "compactions", n(st.compactions),
+       "cnash_store_compactions_total"},
+      {"store", "entries", n(st.entries), "cnash_store_entries", kGauge},
+      {"store", "segments", n(st.segments), "cnash_store_segments", kGauge},
+      {"store", "live_raw_bytes", n(st.live_raw_bytes)},
+      {"store", "live_value_bytes", n(st.live_value_bytes)},
+      {"store", "live_stored_bytes", n(st.live_stored_bytes),
+       "cnash_store_live_stored_bytes", kGauge},
+      {"store", "dead_stored_bytes", n(st.dead_stored_bytes)},
+      {"store", "compressed_records", n(st.compressed_records)},
+      {"store", "stored_records", n(st.stored_records)},
+      {"store", "corrupt_records_skipped", n(st.corrupt_records_skipped)},
+      {"store", "torn_tail_truncations", n(st.torn_tail_truncations)},
+      {"store", "byte_budget", n(st.byte_budget)},
+      {"store", "compression_ratio",
+       util::Json::number(st.compression_ratio())},
+      {"served", "lines", n(requests_->value())},
+      {"served", "solves_ok", n(solves_ok_->value())},
+      {"served", "cache_hits", n(cache_hits_->value())},
+      // Every admitted solve either coalesces onto a job or submits one.
+      {"served", "coalesced", n(as.coalesced), "cnash_served_coalesced_total"},
+      {"served", "errors", n(errors_->value())},
+      {"served", "jobs_submitted", n(as.admitted - as.coalesced),
+       "cnash_served_jobs_submitted_total"},
+      {"served", "progress_frames", n(progress_frames_->value())},
+      {"served", "fair_deferrals", n(fair_deferrals_->value())},
+      {"served", "write_stalls", n(write_stalls_->value())},
+      {"served", "injected_disconnects", n(injected_disconnects_->value())},
+      {"served", "overflow_closed", n(overflow_closed_->value())},
+      {"served", "uncached_reports", n(uncached_reports_->value())},
+  };
+}
 
-    util::Json admission = util::Json::object();
-    const AdmissionStats& as = admission_.stats();
-    admission.set("admitted", as.admitted);
-    admission.set("shed_queue_full", as.shed_queue_full);
-    admission.set("shed_connection_cap", as.shed_connection_cap);
-    admission.set("coalesced", as.coalesced);
-    stats.set("admission", std::move(admission));
+util::Json NashServer::stats() const {
+  util::Json stats = util::Json::object();
+  util::Json section = util::Json::object();
+  std::string name;
+  for (StatsEntry& e : stats_entries()) {
+    if (name != e.section) {
+      if (!name.empty()) stats.set(name, std::move(section));
+      section = util::Json::object();
+      name = e.section;
+    }
+    section.set(e.key, std::move(e.value));
+  }
+  stats.set(name, std::move(section));
+  return stats;
+}
+
+void NashServer::collect_mirrors() {
+  // The request counters are registry counters already; the numbers the
+  // cache, admission controller and store keep themselves are copied in.
+  for (const StatsEntry& e : stats_entries()) {
+    if (!e.mirror) continue;
+    const double v = e.value.is_bool() ? (e.value.as_bool() ? 1.0 : 0.0)
+                                       : e.value.as_number();
+    if (e.gauge)
+      registry_.gauge(e.mirror).set(v);
+    else
+      registry_.counter(e.mirror).set(static_cast<std::uint64_t>(v));
   }
 
-  // The tier-2 store keeps its own mutex, so its snapshot is taken outside
-  // the gate. The object is always present (all-zero when disabled) so
-  // dashboards can rely on the schema.
-  util::Json store = util::Json::object();
-  store.set("enabled", store_ != nullptr);
-  const store::StoreStats sts = store_ ? store_->stats() : store::StoreStats{};
-  store.set("hits", sts.hits);
-  store.set("misses", sts.misses);
-  store.set("appends", sts.appends);
-  store.set("tombstones", sts.tombstones);
-  store.set("evictions", sts.evictions);
-  store.set("oversize_rejects", sts.oversize_rejects);
-  store.set("compactions", sts.compactions);
-  store.set("entries", sts.entries);
-  store.set("segments", sts.segments);
-  store.set("live_raw_bytes", sts.live_raw_bytes);
-  store.set("live_value_bytes", sts.live_value_bytes);
-  store.set("live_stored_bytes", sts.live_stored_bytes);
-  store.set("dead_stored_bytes", sts.dead_stored_bytes);
-  store.set("compressed_records", sts.compressed_records);
-  store.set("stored_records", sts.stored_records);
-  store.set("corrupt_records_skipped", sts.corrupt_records_skipped);
-  store.set("torn_tail_truncations", sts.torn_tail_truncations);
-  store.set("byte_budget", sts.byte_budget);
-  store.set("compression_ratio", sts.compression_ratio());
-  stats.set("store", std::move(store));
+  std::size_t pending = 0;
+  {
+    std::lock_guard<std::mutex> lock(gate_);
+    pending = pending_.size();
+  }
+  const core::SolverService::QueueDepth depth = service_.queue_depth();
+  registry_.gauge("cnash_service_threads")
+      .set(static_cast<double>(service_.threads()));
+  registry_.gauge("cnash_service_jobs").set(static_cast<double>(depth.jobs));
+  registry_.gauge("cnash_service_queued_units")
+      .set(static_cast<double>(depth.queued_units));
+  registry_.gauge("cnash_service_in_flight_units")
+      .set(static_cast<double>(depth.in_flight_units));
 
-  const ServedStats ss = served_stats();
-  util::Json served = util::Json::object();
-  served.set("lines", ss.lines);
-  served.set("solves_ok", ss.solves_ok);
-  served.set("cache_hits", ss.cache_hits);
-  served.set("coalesced", ss.coalesced);
-  served.set("errors", ss.errors);
-  served.set("jobs_submitted", ss.jobs_submitted);
-  served.set("progress_frames", ss.progress_frames);
-  served.set("fair_deferrals", ss.fair_deferrals);
-  served.set("write_stalls", ss.write_stalls);
-  served.set("injected_disconnects", ss.injected_disconnects);
-  served.set("overflow_closed", ss.overflow_closed);
-  served.set("uncached_reports", ss.uncached_reports);
-  stats.set("served", std::move(served));
-  return stats;
+  registry_.gauge("cnash_pending_solves").set(static_cast<double>(pending));
+  registry_.gauge("cnash_connections")
+      .set(static_cast<double>(
+          connections_.load(std::memory_order_relaxed)));
+  registry_.gauge("cnash_uptime_seconds")
+      .set(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         started_)
+               .count());
+
+  // Derived Earl & Deem observable: the replica-exchange acceptance rate.
+  const std::uint64_t props = re_swap_proposals_->value();
+  registry_.gauge("cnash_re_swap_accept_rate")
+      .set(props ? static_cast<double>(re_swap_accepts_->value()) /
+                       static_cast<double>(props)
+                 : 0.0);
 }
 
 }  // namespace cnash::serve

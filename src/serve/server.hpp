@@ -82,8 +82,8 @@ struct ServeOptions {
   std::size_t max_output_bytes = 16u << 20;
   /// Fairness bound: requests one connection may dequeue per readiness
   /// wakeup. A pipelined batch beyond this is deferred to the loop's backlog
-  /// (counted in ServedStats::fair_deferrals), so one connection cannot
-  /// starve its loop's other connections.
+  /// (counted in the `stats` payload's served.fair_deferrals), so one
+  /// connection cannot starve its loop's other connections.
   std::size_t max_requests_per_wakeup = 16;
   /// Server-side fault injection (write_stall_rate / disconnect_rate / seed;
   /// nash_serve populates it from CNASH_FAULT_* env vars). Disabled by
@@ -98,22 +98,6 @@ struct ServeOptions {
   /// returns. Empty (default): tracing is disabled and its call sites cost
   /// one relaxed atomic load each.
   std::string trace_out;
-};
-
-/// Counters for the `stats` wire method.
-struct ServedStats {
-  std::size_t lines = 0;          // requests parsed, both framings (incl. malformed)
-  std::size_t solves_ok = 0;      // successful solve responses (all paths)
-  std::size_t cache_hits = 0;     // ... of which answered from the cache
-  std::size_t coalesced = 0;      // ... of which attached to an in-flight job
-  std::size_t errors = 0;         // error responses of any code
-  std::size_t jobs_submitted = 0; // jobs actually handed to the SolverService
-  std::size_t progress_frames = 0;  // interim anytime frames written
-  std::size_t fair_deferrals = 0;   // pipelined batches cut off at the fairness bound
-  std::size_t write_stalls = 0;   // injected short writes (fault plan)
-  std::size_t injected_disconnects = 0;  // injected mid-response aborts
-  std::size_t overflow_closed = 0;  // connections aborted at max_output_bytes
-  std::size_t uncached_reports = 0;  // degraded/fallback reports not cached
 };
 
 class NashServer {
@@ -136,31 +120,20 @@ class NashServer {
   /// another thread).
   void request_stop() { stop_requested_.store(true, std::memory_order_relaxed); }
 
-  // Introspection for tests, benches and the `metrics` wire method — all
-  // safe while loops are running: cache_stats() / admission_stats() snapshot
-  // by value under the gate, served_stats() is an atomic-counter snapshot.
-  CacheStats cache_stats() const {
-    std::lock_guard<std::mutex> lock(gate_);
-    return cache_.stats();
-  }
-  AdmissionStats admission_stats() const {
-    std::lock_guard<std::mutex> lock(gate_);
-    return admission_.stats();
-  }
-  ServedStats served_stats() const;
+  /// The `stats` wire payload — cache, admission, store and served
+  /// sections — from one snapshot. Safe while loops are running.
+  util::Json stats() const;
   /// The server's instrument registry (the `metrics` wire method renders
   /// it). Scrapes are safe at any time; collect callbacks take the gate.
   obs::Registry& metrics_registry() { return registry_; }
   /// The trace recorder (enabled iff options.trace_out was set).
   obs::TraceRecorder& trace_recorder() { return trace_; }
-  /// Tier-2 store (nullptr when store_dir was empty). The store is
-  /// internally synchronised — its stats() are safe at any time.
-  const store::SolutionStore* store() const { return store_.get(); }
 
  private:
   struct Loop;
   struct Connection;
   struct Delivery;
+  struct StatsEntry;
 
   /// One job on the solver pool plus every response waiting on it. Guarded by
   /// gate_; the raw pointer is captured by the job's service callbacks (its
@@ -180,25 +153,18 @@ class NashServer {
     std::vector<Waiter> waiters;
   };
 
-  /// All ServedStats counters as relaxed atomics — bumped from loop threads
-  /// and service callbacks alike; served_stats() snapshots them.
-  struct Counters {
-    std::atomic<std::size_t> lines{0}, solves_ok{0}, cache_hits{0},
-        coalesced{0}, errors{0}, jobs_submitted{0}, progress_frames{0},
-        fair_deferrals{0}, write_stalls{0}, injected_disconnects{0},
-        overflow_closed{0}, uncached_reports{0};
-  };
-
   void accept_ready(std::size_t& next_loop);
   void begin_drain();
   bool pending_empty();
   void shutdown_loops();
   util::Json status_payload();
-  util::Json stats_payload();
-  /// Register the stage instruments and the scrape-time mirror collector.
+  /// Every number of the `stats` payload, in wire order, from one snapshot:
+  /// cache and admission under the gate, the store, the request counters.
+  std::vector<StatsEntry> stats_entries() const;
+  /// Register the instruments and the scrape-time mirror collector.
   void init_telemetry();
-  /// Collect callback: mirror the lock-guarded aggregate stats (cache,
-  /// admission, store, served, service depth) into registry instruments.
+  /// Collect callback: copy the subsystem numbers of stats_entries() and the
+  /// gateway gauges (service depth, connections, uptime) into the registry.
   void collect_mirrors();
   core::ServiceOptions service_options();
 
@@ -221,13 +187,12 @@ class NashServer {
   /// Tier-2 persistent store; declared before cache_ (which holds a raw
   /// pointer into it) so it is destroyed after.
   std::unique_ptr<store::SolutionStore> store_;
-  mutable SolutionCache cache_;        // guarded by gate_
-  mutable AdmissionController admission_;  // guarded by gate_
+  SolutionCache cache_;            // guarded by gate_
+  AdmissionController admission_;  // guarded by gate_
   std::vector<std::unique_ptr<InFlight>> pending_;  // guarded by gate_
   /// The one cross-loop mutex: cache + admission + in-flight registry.
-  /// mutable: the by-value stats snapshots are const reads.
+  /// mutable: the stats snapshot is a const read.
   mutable std::mutex gate_;
-  Counters counters_;
 
   /// Telemetry. Declared before service_ (which holds pointers into both) so
   /// they outlive the worker pool. Stage histogram/counter pointers are
@@ -247,6 +212,19 @@ class NashServer {
   obs::Counter* re_swap_accepts_ = nullptr;
   obs::Counter* fallback_samples_ = nullptr;
   obs::Counter* degraded_reports_ = nullptr;
+  // The gateway's request counters (the `stats` payload's served section,
+  // bar the two it derives from admission), bumped from loop threads and
+  // service callbacks alike.
+  obs::Counter* requests_ = nullptr;  // parsed, both framings, malformed too
+  obs::Counter* solves_ok_ = nullptr;         // successful solve responses
+  obs::Counter* cache_hits_ = nullptr;        // ... of which cache hits
+  obs::Counter* errors_ = nullptr;            // error responses of any code
+  obs::Counter* progress_frames_ = nullptr;   // interim anytime frames
+  obs::Counter* fair_deferrals_ = nullptr;    // bursts cut at the fair bound
+  obs::Counter* write_stalls_ = nullptr;      // injected short writes
+  obs::Counter* injected_disconnects_ = nullptr;  // injected aborts
+  obs::Counter* overflow_closed_ = nullptr;   // aborted at max_output_bytes
+  obs::Counter* uncached_reports_ = nullptr;  // degraded/fallback, not cached
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;

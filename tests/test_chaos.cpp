@@ -175,7 +175,12 @@ TEST(Chaos, InjectedDisconnectsTearConnectionsDownVisibly) {
     EXPECT_FALSE(client.recv_line(response)) << "response survived the fault";
   }
   fixture.stop();  // single-threaded access to the counters from here on
-  EXPECT_EQ(fixture.server().served_stats().injected_disconnects, 8u);
+  EXPECT_EQ(fixture.server()
+                .stats()
+                .at("served")
+                .at("injected_disconnects")
+                .as_number(),
+            8.0);
 }
 
 TEST(Chaos, DegradedAndFallbackReportsAreNeverCached) {
