@@ -546,6 +546,9 @@ void NashServer::Loop::process_input(std::uint64_t conn_id) {
       1, server->options_.max_requests_per_wakeup);
   std::size_t handled = 0;
   while (handled < cap && !conn.aborted && !conn.close_after_flush) {
+    // Cut the next request out of the buffer: a frame's payload, or a
+    // non-empty line. Then both framings share the rest.
+    unsigned char frame_type = 0;
     if (conn.framing == Connection::kBinary) {
       std::optional<FrameHeader> header;
       try {
@@ -560,37 +563,9 @@ void NashServer::Loop::process_input(std::uint64_t conn_id) {
         break;
       }
       if (!header || conn.in.size() < kFrameHeaderSize + header->length) break;
+      frame_type = header->type;
       conn.scratch.assign(conn.in, kFrameHeaderSize, header->length);
       conn.in.erase(0, kFrameHeaderSize + header->length);
-      handled++;
-      server->requests_->add();
-      const std::uint64_t tid =
-          server->trace_.enabled() ? server->trace_.new_trace_id() : 0;
-      Stage request_stage(server->trace_, "request", tid,
-                          server->stage_request_);
-      WireRequest request;
-      try {
-        Stage parse_stage(server->trace_, "parse", tid, server->stage_parse_);
-        request = parse_frame_request(header->type, conn.scratch,
-                                      &conn.session);
-      } catch (const ProtocolError& e) {
-        render_error_body(conn.session.body, e.id(), e.code(), e.what());
-        send_body(conn, kFrameError, /*is_error=*/true);
-        continue;
-      } catch (const std::exception& e) {
-        render_error_body(conn.session.body, util::Json(), "internal",
-                          e.what());
-        send_body(conn, kFrameError, /*is_error=*/true);
-        continue;
-      }
-      try {
-        server->handle_request(*this, conn, std::move(request), tid);
-      } catch (const std::exception& e) {
-        // Defensive: nothing may escape the event loop.
-        render_error_body(conn.session.body, util::Json(), "internal",
-                          e.what());
-        send_body(conn, kFrameError, /*is_error=*/true);
-      }
     } else {
       const std::size_t nl = conn.in.find('\n');
       if (nl == std::string::npos) break;
@@ -599,34 +574,31 @@ void NashServer::Loop::process_input(std::uint64_t conn_id) {
       if (!conn.scratch.empty() && conn.scratch.back() == '\r')
         conn.scratch.pop_back();
       if (conn.scratch.empty()) continue;
-      handled++;
-      server->requests_->add();
-      const std::uint64_t tid =
-          server->trace_.enabled() ? server->trace_.new_trace_id() : 0;
-      Stage request_stage(server->trace_, "request", tid,
-                          server->stage_request_);
+    }
+    handled++;
+    server->requests_->add();
+    const std::uint64_t tid =
+        server->trace_.enabled() ? server->trace_.new_trace_id() : 0;
+    Stage request_stage(server->trace_, "request", tid,
+                        server->stage_request_);
+    try {
       WireRequest request;
-      try {
+      {
         Stage parse_stage(server->trace_, "parse", tid, server->stage_parse_);
-        request = parse_request(conn.scratch, &conn.session);
-      } catch (const ProtocolError& e) {
-        render_error_body(conn.session.body, e.id(), e.code(), e.what());
-        send_body(conn, kFrameError, /*is_error=*/true);
-        continue;
-      } catch (const std::exception& e) {
-        // Defensive: nothing may escape the event loop.
-        render_error_body(conn.session.body, util::Json(), "internal",
-                          e.what());
-        send_body(conn, kFrameError, /*is_error=*/true);
-        continue;
+        request = conn.framing == Connection::kBinary
+                      ? parse_frame_request(frame_type, conn.scratch,
+                                            &conn.session)
+                      : parse_request(conn.scratch, &conn.session);
       }
-      try {
-        server->handle_request(*this, conn, std::move(request), tid);
-      } catch (const std::exception& e) {
-        render_error_body(conn.session.body, util::Json(), "internal",
-                          e.what());
-        send_body(conn, kFrameError, /*is_error=*/true);
-      }
+      server->handle_request(*this, conn, std::move(request), tid);
+    } catch (const ProtocolError& e) {  // only parsing throws these
+      render_error_body(conn.session.body, e.id(), e.code(), e.what());
+      send_body(conn, kFrameError, /*is_error=*/true);
+    } catch (const std::exception& e) {
+      // Defensive: nothing may escape the event loop.
+      render_error_body(conn.session.body, util::Json(), "internal",
+                        e.what());
+      send_body(conn, kFrameError, /*is_error=*/true);
     }
   }
   if (conn.aborted) return;
