@@ -320,7 +320,7 @@ void SolutionStore::put(std::uint64_t digest, std::string_view key,
   header.digest = digest;
   header.raw_len = static_cast<std::uint32_t>(value.size());
   std::string_view stored = value;
-  if (options_.use_compression && lz_codec().compress(value, scratch_)) {
+  if (lz_codec().compress(value, scratch_)) {
     header.codec = lz_codec().tag();
     stored = scratch_;
   } else {

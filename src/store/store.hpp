@@ -61,8 +61,6 @@ struct StoreOptions {
   /// Compact automatically when dead (superseded/evicted/tombstone) bytes
   /// exceed half the budget.
   bool auto_compact = true;
-  /// Disable to store every value raw (benchmarks the codec's worth).
-  bool use_compression = true;
 };
 
 struct StoreStats {
