@@ -60,9 +60,9 @@ game::QuantizedProfile sa_draw_initial(const game::BimatrixGame& g,
   return {draw(g.num_actions1()), draw(g.num_actions2())};
 }
 
-/// One SA lane: the per-run state the lockstep drivers advance. The scalar
-/// entry points run a single lane through the same start/step code, so lane
-/// semantics and scalar semantics can never drift apart.
+/// One SA lane: the per-run state. A scalar run steps one lane; the
+/// replica-exchange driver steps its replicas' lanes in lockstep through the
+/// same start/step code, so the two can never drift apart.
 struct SaLane {
   SaLane(ObjectiveEvaluator& objective, game::QuantizedProfile initial,
          double f0)
@@ -187,41 +187,14 @@ SaRunResult simulated_annealing_from(ObjectiveEvaluator& objective,
   return std::move(lane.res);
 }
 
-std::vector<SaRunResult> simulated_annealing_batch(BatchedEvaluator& batch,
-                                                   std::uint32_t intervals,
-                                                   const SaOptions& opts,
-                                                   util::Rng* lane_rngs) {
-  if (opts.iterations == 0)
-    throw std::invalid_argument("simulated_annealing_batch: zero iterations");
-  const std::size_t k = batch.lanes();
-  const TempSchedule sched = sa_schedule(batch.game(), opts);
-
-  std::vector<SaLane> lanes;
-  lanes.reserve(k);
-  for (std::size_t l = 0; l < k; ++l)
-    lanes.push_back(sa_lane_start(
-        batch.lane(l),
-        sa_draw_initial(batch.lane(l).game(), intervals, opts, lane_rngs[l])));
-
-  double temperature = sched.t_max;
-  for (std::size_t it = 0; it < opts.iterations;
-       ++it, temperature *= sched.decay)
-    for (std::size_t l = 0; l < k; ++l)
-      sa_lane_step(lanes[l], opts, temperature, lane_rngs[l]);
-
-  std::vector<SaRunResult> out;
-  out.reserve(k);
-  for (SaLane& lane : lanes) out.push_back(std::move(lane.res));
-  return out;
-}
-
 std::vector<SaRunResult> simulated_annealing_replica_exchange(
-    BatchedEvaluator& batch, std::uint32_t intervals, const SaOptions& opts,
-    util::Rng* lane_rngs, util::Rng& swap_rng) {
+    const std::vector<std::unique_ptr<ObjectiveEvaluator>>& replicas,
+    std::uint32_t intervals, const SaOptions& opts, util::Rng* lane_rngs,
+    util::Rng& swap_rng) {
   if (opts.iterations == 0)
     throw std::invalid_argument(
         "simulated_annealing_replica_exchange: zero iterations");
-  const std::size_t r = batch.lanes();
+  const std::size_t r = replicas.size();
   if (r < 2)
     throw std::invalid_argument(
         "simulated_annealing_replica_exchange: need >= 2 replicas");
@@ -232,7 +205,7 @@ std::vector<SaRunResult> simulated_annealing_replica_exchange(
     throw std::invalid_argument(
         "simulated_annealing_replica_exchange: ladder_ratio must be > 1");
 
-  const TempSchedule sched = sa_schedule(batch.game(), opts);
+  const TempSchedule sched = sa_schedule(replicas[0]->game(), opts);
   // Ladder position 0 anneals at the base schedule; position k at
   // base_T * ratio^k. Swaps exchange TEMPERATURES (ladder positions), not
   // replica states — cheaper than swapping profiles and identical in law.
@@ -248,8 +221,8 @@ std::vector<SaRunResult> simulated_annealing_replica_exchange(
   lanes.reserve(r);
   for (std::size_t l = 0; l < r; ++l)
     lanes.push_back(sa_lane_start(
-        batch.lane(l),
-        sa_draw_initial(batch.lane(l).game(), intervals, opts, lane_rngs[l])));
+        *replicas[l],
+        sa_draw_initial(replicas[l]->game(), intervals, opts, lane_rngs[l])));
 
   double base_t = sched.t_max;
   std::size_t swap_proposals = 0;

@@ -6,9 +6,9 @@
 // evaluated by an ObjectiveEvaluator (exact or hardware-backed two-phase).
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/maxqubo.hpp"
 #include "game/strategy.hpp"
 #include "util/rng.hpp"
@@ -20,13 +20,14 @@ enum class SaInit {
   kRandomSupport       // uniform over support sizes, then over that face
 };
 
-/// How a work unit's lanes relate to each other.
+/// What a work unit runs.
 enum class SaMode : std::uint8_t {
-  /// Lanes are independent runs batched for locality; results are
-  /// byte-identical to unbatched scalar runs for any batch_lanes value.
+  /// Independent runs, executed back to back; each run's streams depend on
+  /// its run index alone, so results are byte-identical for any batch_lanes
+  /// value.
   kIndependent,
-  /// Lanes are replicas of ONE run at a geometric temperature ladder with
-  /// periodic lockstep swap proposals (parallel tempering) — hard games
+  /// Replicas of ONE run at a geometric temperature ladder, stepped in
+  /// lockstep with periodic swap proposals (parallel tempering) — hard games
   /// converge in fewer iterations, not just faster iterations. On the analog
   /// fabric the replicas occupy concurrent crossbar banks, so a unit's
   /// modeled time is that of a single run.
@@ -50,10 +51,11 @@ struct SaOptions {
   /// perturbed player is always chosen at random).
   double both_players_prob = 0.5;
 
-  // ---- Run-batching / replica-exchange knobs --------------------------------
+  // ---- Work-unit / replica-exchange knobs -----------------------------------
   SaMode mode = SaMode::kIndependent;
-  /// Lockstep lanes per work unit in kIndependent mode (0 behaves as 1).
-  /// Never changes results — only scheduling grain and locality.
+  /// Runs per work unit in kIndependent mode (0 behaves as 1): the grain at
+  /// which deadlines are checked and progress is reported. Never changes
+  /// results.
   std::size_t batch_lanes = 8;
   /// Ladder size in kReplicaExchange mode (>= 2).
   std::size_t replicas = 8;
@@ -91,23 +93,16 @@ SaRunResult simulated_annealing_from(ObjectiveEvaluator& objective,
                                      game::QuantizedProfile initial,
                                      const SaOptions& opts, util::Rng& rng);
 
-/// K INDEPENDENT runs advanced in lockstep (iteration-major, lane-minor).
-/// Lane l draws from lane_rngs[l] in exactly the scalar per-run sequence, so
-/// the result vector byte-matches K simulated_annealing() calls on the same
-/// evaluators and streams — for any lane count, including K = 1.
-std::vector<SaRunResult> simulated_annealing_batch(BatchedEvaluator& batch,
-                                                   std::uint32_t intervals,
-                                                   const SaOptions& opts,
-                                                   util::Rng* lane_rngs);
-
-/// One replica-exchange (parallel tempering) ensemble: batch.lanes() replicas
-/// anneal in lockstep at a geometric temperature ladder; every
+/// One replica-exchange (parallel tempering) ensemble: the replicas (one
+/// evaluator instance each, replica l drawing from lane_rngs[l]) anneal in
+/// lockstep at a geometric temperature ladder; every
 /// opts.exchange_interval iterations adjacent ladder positions propose a
 /// temperature swap through `swap_rng` (exactly one uniform per proposal,
 /// accepted or not — fixed draw count keeps the schedule deterministic).
 /// Returns the per-replica results; the caller picks the winning replica.
 std::vector<SaRunResult> simulated_annealing_replica_exchange(
-    BatchedEvaluator& batch, std::uint32_t intervals, const SaOptions& opts,
-    util::Rng* lane_rngs, util::Rng& swap_rng);
+    const std::vector<std::unique_ptr<ObjectiveEvaluator>>& replicas,
+    std::uint32_t intervals, const SaOptions& opts, util::Rng* lane_rngs,
+    util::Rng& swap_rng);
 
 }  // namespace cnash::core

@@ -26,6 +26,9 @@ void validate_request(const SolveRequest& request) {
   if (request.runs == 0)
     throw std::invalid_argument(
         "invalid solve request: runs == 0 (need at least one sample unit)");
+  if (request.runs > kMaxRuns)
+    throw std::invalid_argument("invalid solve request: runs must be <= " +
+                                std::to_string(kMaxRuns));
   if (request.game.num_actions1() == 0 || request.game.num_actions2() == 0)
     throw std::invalid_argument("invalid solve request: empty game");
   if (request.intervals == 0)
@@ -61,9 +64,10 @@ void validate_request(const SolveRequest& request) {
         "\"hardware-sa-tiled\", not \"" +
         request.resilient_primary + "\"");
   if (request.sa.mode == SaMode::kReplicaExchange) {
-    if (request.sa.replicas < 2)
+    if (request.sa.replicas < 2 || request.sa.replicas > kMaxReplicas)
       throw std::invalid_argument(
-          "invalid solve request: replica-exchange needs sa.replicas >= 2");
+          "invalid solve request: replica-exchange needs 2 <= sa.replicas <= " +
+          std::to_string(kMaxReplicas));
     if (request.sa.exchange_interval == 0)
       throw std::invalid_argument(
           "invalid solve request: sa.exchange_interval must be >= 1");
@@ -199,31 +203,26 @@ std::size_t SaPreparedJob::num_units() const {
 
 std::vector<SolveSample> SaPreparedJob::run_unit(std::size_t unit) const {
   return sa_.mode == SaMode::kReplicaExchange ? run_ensemble_unit(unit)
-                                              : run_batch_unit(unit);
+                                              : run_independent_unit(unit);
 }
 
-std::vector<SolveSample> SaPreparedJob::run_batch_unit(std::size_t unit) const {
+std::vector<SolveSample> SaPreparedJob::run_independent_unit(
+    std::size_t unit) const {
   // Even keys address evaluator instances, odd keys SA streams, so the two
-  // families can never alias across runs. Lanes keep the per-run keys of the
-  // scalar sweep, so any K produces bit-identical reports.
+  // families can never alias across runs. One run's evaluator (for the
+  // hardware backends, one programmed chip) is alive at a time.
   const std::size_t k = std::max<std::size_t>(1, sa_.batch_lanes);
   const std::size_t first = unit * k;
   const std::size_t count = std::min(k, num_runs_ - first);
-  std::vector<std::uint64_t> keys(count);
-  std::vector<util::Rng> rngs;
-  rngs.reserve(count);
-  for (std::size_t l = 0; l < count; ++l) {
-    keys[l] = 2 * (first + l);
-    rngs.push_back(root_.split(2 * (first + l) + 1));
-  }
-  const std::unique_ptr<BatchedEvaluator> batch =
-      factory_->create_batched(keys.data(), count);
-  const std::vector<SaRunResult> results =
-      simulated_annealing_batch(*batch, intervals_, sa_, rngs.data());
   std::vector<SolveSample> out;
   out.reserve(count);
-  for (const SaRunResult& res : results)
-    out.push_back(sa_sample(res, report_best_));
+  for (std::size_t r = first; r < first + count; ++r) {
+    const std::unique_ptr<ObjectiveEvaluator> objective =
+        factory_->create(2 * r);
+    util::Rng rng = root_.split(2 * r + 1);
+    out.push_back(sa_sample(
+        simulated_annealing(*objective, intervals_, sa_, rng), report_best_));
+  }
   verify_samples(factory_->game(), nash_eps_, out);
   return out;
 }
@@ -233,20 +232,19 @@ std::vector<SolveSample> SaPreparedJob::run_ensemble_unit(
   const std::uint64_t e = unit;
   const std::size_t r = sa_.replicas;
   const std::uint64_t stride = static_cast<std::uint64_t>(r) + 1;
-  std::vector<std::uint64_t> keys(r);
+  std::vector<std::unique_ptr<ObjectiveEvaluator>> replicas;
   std::vector<util::Rng> rngs;
+  replicas.reserve(r);
   rngs.reserve(r);
   for (std::size_t l = 0; l < r; ++l) {
-    keys[l] = 2 * (e * stride + l);
+    replicas.push_back(factory_->create(2 * (e * stride + l)));
     rngs.push_back(root_.split(2 * (e * stride + l) + 1));
   }
   util::Rng swap_rng = root_.split(2 * (e * stride + r) + 1);
-  const std::unique_ptr<BatchedEvaluator> batch =
-      factory_->create_batched(keys.data(), r);
   const std::vector<SaRunResult> results = simulated_annealing_replica_exchange(
-      *batch, intervals_, sa_, rngs.data(), swap_rng);
-  // The ensemble reports its winning replica (ties to the lowest lane index
-  // for determinism).
+      replicas, intervals_, sa_, rngs.data(), swap_rng);
+  // The ensemble reports its winning replica (ties to the lowest replica
+  // index for determinism).
   std::size_t win = 0;
   auto score = [&](const SaRunResult& res) {
     return report_best_ ? res.best_objective : res.final_objective;

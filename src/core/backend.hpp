@@ -161,10 +161,18 @@ class SolverBackend {
   SolveReport solve(const SolveRequest& request) const;
 };
 
+/// Size caps validate_request enforces on every backend. They sit far above
+/// any sweep the paper or this repo runs (5000 runs, 8 replicas) and keep one
+/// request from sizing a job's bookkeeping, or a replica ensemble, beyond
+/// memory.
+inline constexpr std::size_t kMaxRuns = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxReplicas = 64;
+
 /// Submit-time request validation: throws std::invalid_argument with a clear
 /// message for requests that could only fail later on a worker thread
-/// (zero sample units, zero intervals, degenerate game payoffs). Backend-key
-/// resolution is validated separately by the registry lookup.
+/// (zero or more than kMaxRuns sample units, zero intervals, degenerate game
+/// payoffs). Backend-key resolution is validated separately by the registry
+/// lookup.
 void validate_request(const SolveRequest& request);
 
 /// ε-Nash verification of freshly produced samples: sets is_nash and regret
@@ -204,14 +212,15 @@ class SolverRegistry {
 
 /// The SA job shared by the hardware-sa[-tiled] / exact-sa backends.
 ///
-/// Independent mode: runs are grouped into lockstep batches of
-/// sa.batch_lanes lanes; unit u covers runs [u*K, u*K + lanes). Run r keeps
-/// the scalar key scheme — evaluator instance key 2r, SA stream key 2r + 1
-/// (even/odd keys can never alias across runs) — so the report is
-/// byte-identical for ANY batch_lanes value, including the unbatched K = 1.
+/// Independent mode: unit u runs K = sa.batch_lanes runs, [u*K, u*K + K)
+/// clipped to the run count, back to back. Run r anneals on evaluator
+/// instance key 2r with SA stream key 2r + 1 (even/odd keys can never alias
+/// across runs); the keys depend on r alone, so the report is byte-identical
+/// for ANY batch_lanes value.
 ///
-/// Replica-exchange mode: unit u is ONE ensemble of sa.replicas lockstep
-/// replicas producing one sample (the winning replica). Ensemble e uses a
+/// Replica-exchange mode: unit u is ONE ensemble of sa.replicas replicas,
+/// stepped in lockstep, producing one sample (the winning replica). Ensemble
+/// e uses a
 /// key stride of (replicas + 1): replica l takes instance key
 /// 2*(e*(R+1) + l) and SA stream key 2*(e*(R+1) + l) + 1, and the swap
 /// proposals draw from stream key 2*(e*(R+1) + R) + 1 — all distinct within
@@ -226,7 +235,7 @@ class SaPreparedJob final : public PreparedJob {
   std::vector<SolveSample> run_unit(std::size_t unit) const override;
 
  private:
-  std::vector<SolveSample> run_batch_unit(std::size_t unit) const;
+  std::vector<SolveSample> run_independent_unit(std::size_t unit) const;
   std::vector<SolveSample> run_ensemble_unit(std::size_t unit) const;
 
   std::shared_ptr<const EvaluatorFactory> factory_;

@@ -1,16 +1,6 @@
 #include "core/engine.hpp"
 
-#include <vector>
-
 namespace cnash::core {
-
-std::unique_ptr<BatchedEvaluator> EvaluatorFactory::create_batched(
-    const std::uint64_t* instance_keys, std::size_t lanes) const {
-  std::vector<std::unique_ptr<ObjectiveEvaluator>> v;
-  v.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) v.push_back(create(instance_keys[l]));
-  return std::make_unique<LaneBatchedEvaluator>(std::move(v));
-}
 
 ExactEvaluatorFactory::ExactEvaluatorFactory(game::BimatrixGame game)
     : shared_(std::make_shared<const ExactMaxQubo::Shared>(std::move(game))) {}
@@ -18,11 +8,6 @@ ExactEvaluatorFactory::ExactEvaluatorFactory(game::BimatrixGame game)
 std::unique_ptr<ObjectiveEvaluator> ExactEvaluatorFactory::create(
     std::uint64_t) const {
   return std::make_unique<ExactMaxQubo>(shared_);
-}
-
-std::unique_ptr<BatchedEvaluator> ExactEvaluatorFactory::create_batched(
-    const std::uint64_t*, std::size_t lanes) const {
-  return std::make_unique<BatchedExactMaxQubo>(shared_, lanes);
 }
 
 HardwareEvaluatorFactory::HardwareEvaluatorFactory(

@@ -6,10 +6,12 @@
 // time-to-solution) aggregate many INDEPENDENT annealing runs, and each run
 // gets its own evaluator instance: the hardware model is mutable (sampled
 // device variability, ADC noise draws), so an instance is never shared
-// between runs or threads. SaPreparedJob (core/backend.hpp) addresses every
-// run's instance and SA stream by key (its comment lists the scheme); the
-// keys are counter-derived rather than sequential, so a report is
-// bit-identical for ANY worker count.
+// between runs or threads. An independent run's instance lives only as long
+// as the run; a replica-exchange ensemble holds one per replica.
+// SaPreparedJob (core/backend.hpp) addresses every run's instance and SA
+// stream by key (its comment lists the scheme); the keys are derived from the
+// run index rather than from scheduling, so a report is bit-identical for ANY
+// worker count and batch_lanes value.
 
 #include <cstdint>
 #include <memory>
@@ -36,24 +38,17 @@ class EvaluatorFactory {
   virtual const game::BimatrixGame& game() const = 0;
   virtual std::unique_ptr<ObjectiveEvaluator> create(
       std::uint64_t instance_key) const = 0;
-  /// `lanes` lockstep lanes for the batched SA drivers: lane l behaves
-  /// byte-identically to create(instance_keys[l]). The default wraps scalar
-  /// instances; factories with shareable immutable state override it.
-  virtual std::unique_ptr<BatchedEvaluator> create_batched(
-      const std::uint64_t* instance_keys, std::size_t lanes) const;
 };
 
 /// Exact software objective (ablation backend). Instances are stateless
-/// w.r.t. the key — every instance evaluates Eq. 9 identically — and share
-/// one read-only payoff block (game + transposed copies) across all
-/// instances and batch lanes of the factory's lifetime.
+/// w.r.t. the key — every instance evaluates Eq. 9 identically — and all
+/// instances the factory creates share one read-only payoff block (game +
+/// transposed copies).
 class ExactEvaluatorFactory final : public EvaluatorFactory {
  public:
   explicit ExactEvaluatorFactory(game::BimatrixGame game);
   const game::BimatrixGame& game() const override { return shared_->game; }
   std::unique_ptr<ObjectiveEvaluator> create(std::uint64_t) const override;
-  std::unique_ptr<BatchedEvaluator> create_batched(
-      const std::uint64_t* instance_keys, std::size_t lanes) const override;
 
  private:
   std::shared_ptr<const ExactMaxQubo::Shared> shared_;

@@ -69,9 +69,9 @@ class ExactMaxQubo final : public ObjectiveEvaluator,
                            public IncrementalEvaluator {
  public:
   /// Read-only payoff block: the game plus the transposed copies used by
-  /// column tick moves. Lockstep run-batches share one instance across all
-  /// lanes (structure-of-arrays across runs: the big immutable slabs exist
-  /// once, only the per-lane delta states are replicated).
+  /// column tick moves. Every evaluator an ExactEvaluatorFactory creates
+  /// shares one instance, so the big immutable slabs exist once per job and
+  /// each run or replica replicates only its O(m+n) delta state.
   struct Shared {
     explicit Shared(game::BimatrixGame g)
         : game(std::move(g)),
@@ -119,7 +119,7 @@ class ExactMaxQubo final : public ObjectiveEvaluator,
 
   // The game plus transposed payoff copies (column tick moves update against
   // contiguous rows — same values as the strided column walk, SIMD-friendly
-  // layout). Possibly shared with other lanes of a run-batch.
+  // layout). Possibly shared with the job's other runs and replicas.
   std::shared_ptr<const Shared> shared_;
 
   // Incremental state: committed profile counts, committed/scratch products,

@@ -16,6 +16,8 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "serve/protocol.hpp"
@@ -134,21 +136,18 @@ class LineClient {
   /// header (a desynchronised stream cannot be resynchronised).
   bool recv_frame(unsigned char& type, std::string& body) {
     for (;;) {
-      if (buffer_.size() >= kFrameHeaderSize) {
-        const auto* b = reinterpret_cast<const unsigned char*>(buffer_.data());
-        if (b[0] != kFrameMagic0 || b[1] != kFrameMagic1 ||
-            b[2] != kFrameVersion)
-          return false;
-        const std::uint32_t length = static_cast<std::uint32_t>(b[4]) |
-                                     (static_cast<std::uint32_t>(b[5]) << 8) |
-                                     (static_cast<std::uint32_t>(b[6]) << 16) |
-                                     (static_cast<std::uint32_t>(b[7]) << 24);
-        if (buffer_.size() >= kFrameHeaderSize + length) {
-          type = b[3];
-          body.assign(buffer_, kFrameHeaderSize, length);
-          buffer_.erase(0, kFrameHeaderSize + length);
-          return true;
-        }
+      std::optional<FrameHeader> header;
+      try {
+        // Responses have no size limit on this side.
+        header = peek_frame(buffer_, std::numeric_limits<std::uint32_t>::max());
+      } catch (const ProtocolError&) {
+        return false;
+      }
+      if (header && buffer_.size() >= kFrameHeaderSize + header->length) {
+        type = header->type;
+        body.assign(buffer_, kFrameHeaderSize, header->length);
+        buffer_.erase(0, kFrameHeaderSize + header->length);
+        return true;
       }
       char chunk[16384];
       const ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);

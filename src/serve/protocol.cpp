@@ -356,33 +356,4 @@ void render_ok_body(std::string& body, const util::Json& id,
   body += out.dump();
 }
 
-std::string render_solve_ok(const util::Json& id, bool cached,
-                            const core::SolveReport& report) {
-  std::string body;
-  render_solve_ok_body(body, id, cached, report);
-  return body + "\n";
-}
-
-std::string render_progress(const util::Json& id,
-                            const core::ProgressSnapshot& snapshot) {
-  std::string body;
-  render_progress_body(body, id, snapshot);
-  return body + "\n";
-}
-
-std::string render_error(const util::Json& id, const std::string& code,
-                         const std::string& message,
-                         std::optional<double> retry_after_s) {
-  std::string body;
-  render_error_body(body, id, code, message, retry_after_s);
-  return body + "\n";
-}
-
-std::string render_ok(const util::Json& id, const std::string& key,
-                      util::Json payload) {
-  std::string body;
-  render_ok_body(body, id, key, std::move(payload));
-  return body + "\n";
-}
-
 }  // namespace cnash::serve

@@ -175,7 +175,7 @@ WireRequest parse_frame_request(unsigned char type, const std::string& payload,
 // The *_body variants render the compact JSON body with no trailing newline
 // into `body` (cleared first), so a connection reuses one buffer and wraps it
 // in its negotiated framing: JSON-lines appends '\n', binary wraps it in a
-// frame. The string-returning forms are JSON-lines convenience wrappers.
+// frame.
 
 void render_solve_ok_body(std::string& body, const util::Json& id, bool cached,
                           const core::SolveReport& report);
@@ -187,18 +187,8 @@ void render_progress_body(std::string& body, const util::Json& id,
 void render_error_body(std::string& body, const util::Json& id,
                        const std::string& code, const std::string& message,
                        std::optional<double> retry_after_s = std::nullopt);
+/// Generic success envelope: {"ok":true,"id":...,<key>:<payload>}.
 void render_ok_body(std::string& body, const util::Json& id,
                     const std::string& key, util::Json payload);
-
-std::string render_solve_ok(const util::Json& id, bool cached,
-                            const core::SolveReport& report);
-std::string render_progress(const util::Json& id,
-                            const core::ProgressSnapshot& snapshot);
-std::string render_error(const util::Json& id, const std::string& code,
-                         const std::string& message,
-                         std::optional<double> retry_after_s = std::nullopt);
-/// Generic success envelope: {"ok":true,"id":...,<key>:<payload>}.
-std::string render_ok(const util::Json& id, const std::string& key,
-                      util::Json payload);
 
 }  // namespace cnash::serve

@@ -45,16 +45,12 @@ void set_nonblocking(int fd) {
 /// buffered? Used for the fairness-backlog decision, so it must never say
 /// "yes" for a frame that is merely still arriving.
 bool frame_actionable(const std::string& in, std::size_t max_payload) {
-  if (in.size() < kFrameHeaderSize) return false;
-  const auto* b = reinterpret_cast<const unsigned char*>(in.data());
-  if (b[0] != kFrameMagic0 || b[1] != kFrameMagic1 || b[2] != kFrameVersion)
-    return true;  // malformed header: actionable (produces an error)
-  const std::uint32_t length = static_cast<std::uint32_t>(b[4]) |
-                               (static_cast<std::uint32_t>(b[5]) << 8) |
-                               (static_cast<std::uint32_t>(b[6]) << 16) |
-                               (static_cast<std::uint32_t>(b[7]) << 24);
-  if (length > max_payload) return true;  // oversize: actionable error
-  return in.size() >= kFrameHeaderSize + length;
+  try {
+    const std::optional<FrameHeader> header = peek_frame(in, max_payload);
+    return header && in.size() >= kFrameHeaderSize + header->length;
+  } catch (const ProtocolError&) {
+    return true;  // malformed or oversize header: actionable error
+  }
 }
 
 /// One pipeline stage: times its scope into a histogram (always, when one is

@@ -6,7 +6,6 @@
 
 #include "core/anneal.hpp"
 #include "core/backend.hpp"
-#include "core/batch.hpp"
 #include "core/engine.hpp"
 #include "game/games.hpp"
 #include "simd/simd.hpp"
@@ -20,69 +19,60 @@ namespace {
 constexpr std::uint64_t instance_key(std::uint64_t run) { return 2 * run; }
 constexpr std::uint64_t stream_key(std::uint64_t run) { return 2 * run + 1; }
 
-void expect_same_result(const SaRunResult& a, const SaRunResult& b,
-                        std::size_t run) {
-  EXPECT_EQ(a.final_profile, b.final_profile) << "run " << run;
-  EXPECT_EQ(a.best_profile, b.best_profile) << "run " << run;
-  // Bitwise: the batched drivers execute the SAME lane code on the SAME
-  // streams, so even the floating-point accumulations must match exactly.
-  EXPECT_EQ(a.final_objective, b.final_objective) << "run " << run;
-  EXPECT_EQ(a.best_objective, b.best_objective) << "run " << run;
-  EXPECT_EQ(a.accepted, b.accepted) << "run " << run;
-  EXPECT_EQ(a.iterations, b.iterations) << "run " << run;
-  EXPECT_EQ(a.evaluations, b.evaluations) << "run " << run;
-}
-
-// K-lane lockstep batch vs K scalar runs on the same keyed streams: byte
-// identical, for the exact objective (shared payoff block) and the hardware
-// two-phase path (generic lane wrapper).
-void check_batch_matches_scalar(const EvaluatorFactory& factory,
-                                std::size_t lanes) {
+// An independent-mode SaPreparedJob's units, read in unit order, must
+// reproduce run r as a standalone simulated_annealing() call on instance key
+// 2r and stream key 2r + 1, however batch_lanes groups the runs into units.
+// Bitwise: even the floating-point objectives must match exactly.
+void check_units_follow_run_keys(
+    const std::shared_ptr<const EvaluatorFactory>& factory) {
   const std::uint32_t intervals = 12;
+  const std::uint64_t seed = 0xBA7C;
+  const std::size_t runs = 10;
   SaOptions opts;
   opts.iterations = 600;
-  const util::Rng root(0xBA7C);
 
-  // Scalar reference sweep, one run at a time.
   std::vector<SaRunResult> ref;
-  for (std::size_t r = 0; r < lanes; ++r) {
-    auto obj = factory.create(instance_key(r));
+  const util::Rng root(seed);
+  for (std::size_t r = 0; r < runs; ++r) {
+    auto obj = factory->create(instance_key(r));
     util::Rng rng = root.split(stream_key(r));
     ref.push_back(simulated_annealing(*obj, intervals, opts, rng));
   }
 
-  std::vector<std::uint64_t> keys(lanes);
-  std::vector<util::Rng> rngs;
-  for (std::size_t r = 0; r < lanes; ++r) {
-    keys[r] = instance_key(r);
-    rngs.push_back(root.split(stream_key(r)));
+  for (const std::size_t lanes : {1, 3, 8}) {
+    opts.batch_lanes = lanes;
+    const SaPreparedJob job(factory, intervals, opts, /*report_best=*/false,
+                            seed, runs, /*nash_eps=*/1e-7);
+    ASSERT_EQ(job.num_units(), (runs + lanes - 1) / lanes);
+    std::vector<SolveSample> samples;
+    for (std::size_t u = 0; u < job.num_units(); ++u)
+      for (SolveSample& s : job.run_unit(u)) samples.push_back(std::move(s));
+    ASSERT_EQ(samples.size(), runs) << "batch_lanes " << lanes;
+    for (std::size_t r = 0; r < runs; ++r) {
+      EXPECT_EQ(samples[r].profile, ref[r].final_profile)
+          << "batch_lanes " << lanes << ", run " << r;
+      EXPECT_EQ(samples[r].objective, ref[r].final_objective)
+          << "batch_lanes " << lanes << ", run " << r;
+    }
   }
-  auto batch = factory.create_batched(keys.data(), lanes);
-  ASSERT_EQ(batch->lanes(), lanes);
-  const auto res = simulated_annealing_batch(*batch, intervals, opts,
-                                             rngs.data());
-  ASSERT_EQ(res.size(), lanes);
-  for (std::size_t r = 0; r < lanes; ++r) expect_same_result(res[r], ref[r], r);
 }
 
-TEST(BatchedAnneal, ExactBatchMatchesScalarRuns) {
-  ExactEvaluatorFactory factory(game::bird_game());
-  for (const std::size_t k : {1, 4, 8}) check_batch_matches_scalar(factory, k);
+TEST(BatchedAnneal, ExactUnitsFollowRunKeys) {
+  check_units_follow_run_keys(
+      std::make_shared<ExactEvaluatorFactory>(game::bird_game()));
 }
 
-TEST(BatchedAnneal, TwoPhaseBatchMatchesScalarRuns) {
-  HardwareEvaluatorFactory factory(game::bird_game(), 12, TwoPhaseConfig{},
-                                   util::Rng(0xFE0));
-  for (const std::size_t k : {1, 4, 8}) check_batch_matches_scalar(factory, k);
+TEST(BatchedAnneal, HardwareUnitsFollowRunKeys) {
+  check_units_follow_run_keys(std::make_shared<HardwareEvaluatorFactory>(
+      game::bird_game(), 12, TwoPhaseConfig{}, util::Rng(0xFE0)));
 }
 
-TEST(BatchedAnneal, BatchedExactSharesOnePayoffBlock) {
-  auto shared =
-      std::make_shared<const ExactMaxQubo::Shared>(game::battle_of_sexes());
-  BatchedExactMaxQubo batch(shared, 4);
-  EXPECT_EQ(batch.lanes(), 4u);
-  for (std::size_t l = 0; l < 4; ++l)
-    EXPECT_EQ(&batch.lane(l).game(), &shared->game);
+TEST(BatchedAnneal, ExactInstancesShareOnePayoffBlock) {
+  const ExactEvaluatorFactory factory(game::battle_of_sexes());
+  const auto a = factory.create(instance_key(0));
+  const auto b = factory.create(instance_key(1));
+  EXPECT_EQ(&a->game(), &b->game());
+  EXPECT_EQ(&a->game(), &factory.game());
 }
 
 void expect_same_report(const SolveReport& a, const SolveReport& b) {
@@ -112,8 +102,8 @@ SolveRequest base_request(const char* backend) {
   return req;
 }
 
-// The lane count is a pure throughput knob: any batch_lanes value produces
-// the byte-identical report, through the full backend path.
+// batch_lanes only groups runs into work units: any value produces the
+// byte-identical report, through the full backend path.
 TEST(BatchedAnneal, BackendReportInvariantInBatchLanes) {
   for (const char* backend : {"exact-sa", "hardware-sa"}) {
     SolveRequest req = base_request(backend);
@@ -207,19 +197,18 @@ TEST(BatchedAnneal, ReplicaExchangeRequestValidation) {
 TEST(BatchedAnneal, ReplicaExchangeDriverRunsAllReplicas) {
   ExactEvaluatorFactory factory(game::bird_game());
   const std::size_t r = 4;
-  std::vector<std::uint64_t> keys(r);
+  std::vector<std::unique_ptr<ObjectiveEvaluator>> replicas;
   std::vector<util::Rng> rngs;
   const util::Rng root(0x4E);
   for (std::size_t l = 0; l < r; ++l) {
-    keys[l] = instance_key(l);
+    replicas.push_back(factory.create(instance_key(l)));
     rngs.push_back(root.split(stream_key(l)));
   }
   util::Rng swap_rng = root.split(stream_key(r) + 1);
-  auto batch = factory.create_batched(keys.data(), r);
   SaOptions opts;
   opts.iterations = 400;
   opts.replicas = r;
-  const auto res = simulated_annealing_replica_exchange(*batch, 12, opts,
+  const auto res = simulated_annealing_replica_exchange(replicas, 12, opts,
                                                         rngs.data(), swap_rng);
   ASSERT_EQ(res.size(), r);
   for (const SaRunResult& lane : res) {

@@ -11,8 +11,8 @@
 //     bit-identical to its wrapped primary; with 100% tile faults every unit
 //     falls back to exact-sa (fallback_count == runs) and the samples match a
 //     pure exact-sa solve bit for bit;
-//   * validate_request — the new deadline / fault / resilient_primary knobs
-//     reject bad requests at submit time;
+//   * validate_request — the deadline / fault / resilient_primary knobs and
+//     the run / replica caps reject bad requests at submit time;
 //   * SolverService deadlines — anytime degradation: a deadline-bounded job
 //     returns degraded=true with units accounting within deadline + one
 //     unit's wall time, and a drained service rejects submissions with
@@ -349,6 +349,24 @@ TEST(ValidateRequest, RejectsZeroIntervalsOnEveryBackend) {
     req.intervals = 0;
     EXPECT_THROW(core::validate_request(req), std::invalid_argument) << name;
     req.intervals = 1;
+    EXPECT_NO_THROW(core::validate_request(req)) << name;
+  }
+}
+
+TEST(ValidateRequest, CapsRunsAndReplicasOnEveryBackend) {
+  // Both caps are inclusive; one past either is rejected before any backend
+  // sizes a job from it.
+  for (const std::string& name : core::SolverRegistry::global().names()) {
+    core::SolveRequest req(game::battle_of_sexes());
+    req.backend = name;
+    req.runs = core::kMaxRuns + 1;
+    EXPECT_THROW(core::validate_request(req), std::invalid_argument) << name;
+    req.runs = core::kMaxRuns;
+    EXPECT_NO_THROW(core::validate_request(req)) << name;
+    req.sa.mode = core::SaMode::kReplicaExchange;
+    req.sa.replicas = core::kMaxReplicas + 1;
+    EXPECT_THROW(core::validate_request(req), std::invalid_argument) << name;
+    req.sa.replicas = core::kMaxReplicas;
     EXPECT_NO_THROW(core::validate_request(req)) << name;
   }
 }

@@ -1123,6 +1123,33 @@ TEST(ServeGuards, OverlongLineGetsBadRequestThenClose) {
   EXPECT_FALSE(client.recv_line(line)) << "expected close";
 }
 
+TEST(ServeGuards, OversizedSolveGetsBadRequestAndTheGatewayKeepsServing) {
+  ServerFixture fixture;
+  TestClient client;
+  client.connect_to(fixture.port());
+  // 2^53 is the largest run count the wire can carry; a worker that sized a
+  // job from it would take the whole gateway down.
+  const std::size_t wire_max = std::size_t{1} << 53;
+  for (const char* backend : {"hardware-sa", "dwave-2000q6"}) {
+    const util::Json huge = client.request(
+        solve_line(game::battle_of_sexes(), 1, backend, wire_max));
+    ASSERT_FALSE(huge.at("ok").as_bool()) << backend;
+    EXPECT_EQ(huge.at("error").at("code").as_string(), "bad_request")
+        << backend;
+    EXPECT_EQ(huge.at("id").as_number(), 1.0);
+  }
+  const util::Json ensemble = client.request(
+      solve_line(game::battle_of_sexes(), 2, "exact-sa", 4, 300, 7,
+                 ",\"sa_mode\":\"replica-exchange\",\"replicas\":" +
+                     std::to_string(wire_max)));
+  ASSERT_FALSE(ensemble.at("ok").as_bool());
+  EXPECT_EQ(ensemble.at("error").at("code").as_string(), "bad_request");
+
+  const util::Json ok = client.request(solve_line(game::battle_of_sexes(), 3));
+  EXPECT_TRUE(ok.at("ok").as_bool());
+  EXPECT_EQ(ok.at("report").at("samples").size(), 4u);
+}
+
 TEST(ServeGuards, NonReadingPipelinerIsAbortedAtTheOutputCap) {
   ServeOptions options;
   options.max_output_bytes = 64u << 10;

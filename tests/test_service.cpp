@@ -15,6 +15,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/service.hpp"
@@ -177,17 +178,23 @@ TEST(SolverService, UnknownBackendRejectsViaFuture) {
       2u);
 }
 
-TEST(SolverService, ZeroRunRequestsRejectAtSubmitTime) {
-  // Satellite contract: runs == 0 resolves the future immediately with a
+TEST(SolverService, OutOfRangeRunCountsRejectAtSubmitTime) {
+  // runs == 0 and runs above kMaxRuns resolve the future immediately with a
   // clear std::invalid_argument instead of surfacing from a worker thread.
+  // 2^53 is the largest count the wire carries; a worker sizing the job's
+  // unit slots from it would exhaust memory.
   SolverService service(ServiceOptions{2});
-  auto future =
-      service.submit(sa_request(game::battle_of_sexes(), "hardware-sa", 0, 1));
-  try {
-    future.get();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("runs == 0"), std::string::npos);
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "runs == 0"}, {std::size_t{1} << 53, "runs must be <="}};
+  for (const auto& [runs, message] : cases) {
+    auto future = service.submit(
+        sa_request(game::battle_of_sexes(), "hardware-sa", runs, 1));
+    try {
+      future.get();
+      FAIL() << "expected std::invalid_argument for runs = " << runs;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos);
+    }
   }
   // The pool is unaffected: a valid job still solves.
   const SolveReport ok =
