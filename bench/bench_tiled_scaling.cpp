@@ -2,7 +2,8 @@
 // tiles buys as the action count grows from 8 to 256.
 //
 // Per game size the bench reports, for the monolithic bi-crossbar and for
-// the tiled chip (64-row tiles, default ChipConfig aggregation):
+// the tiled chip (the default 64×1024-line ChipConfig tiles, read through
+// the one analog datapath: tile partials, H-tree sums, WTA, ADC):
 //   * measured wall clock of one incremental SA run on the simulator;
 //   * modeled iteration latency (core/timing): the monolithic line settle
 //     grows with the full array dimensions, the tiled path with the fixed

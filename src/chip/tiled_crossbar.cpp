@@ -54,7 +54,7 @@ TiledCrossbar::TiledCrossbar(const la::Matrix& payoff, std::uint32_t intervals,
 void TiledCrossbar::read_back_check() {
   // Program-time health verification: one full-activation MV read per tile,
   // compared against the ideal conducting-unit expectation derived from the
-  // logical mapping (the digital readout's reference). Healthy tiles sit
+  // logical mapping. Healthy tiles sit
   // near nominal (programming variability is zero-mean and per-cell stuck
   // faults are sparse); a dead tile reads zero, so a half-nominal threshold
   // separates the two without flagging ordinary device variation. No RNG is
@@ -172,66 +172,6 @@ double TiledCrossbar::vmv_group_delta(std::size_t j, std::uint32_t g_old,
     total += d;
   }
   return total;
-}
-
-// ---- Digital readout --------------------------------------------------------
-
-void TiledCrossbar::digital_mv_units(const std::uint32_t* groups_active,
-                                     std::int64_t* units) const {
-  const auto& g = global_.geometry();
-  const std::int64_t intervals = g.intervals;
-  for (std::size_t i = 0; i < g.n; ++i) {
-    std::int64_t row = 0;
-    for (std::size_t j = 0; j < g.m; ++j)
-      row += static_cast<std::int64_t>(groups_active[j]) * global_.element(i, j);
-    units[i] = intervals * row;
-  }
-}
-
-void TiledCrossbar::digital_mv_group_delta(std::size_t j, std::uint32_t g_old,
-                                           std::uint32_t g_new,
-                                           std::int64_t* units) const {
-  const auto& g = global_.geometry();
-  const std::int64_t step = static_cast<std::int64_t>(g.intervals) *
-                            (static_cast<std::int64_t>(g_new) -
-                             static_cast<std::int64_t>(g_old));
-  for (std::size_t i = 0; i < g.n; ++i)
-    units[i] += step * global_.element(i, j);
-}
-
-std::int64_t TiledCrossbar::digital_vmv_units(
-    const std::uint32_t* rows_active, const std::uint32_t* groups_active) const {
-  const auto& g = global_.geometry();
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < g.n; ++i) {
-    std::int64_t row = 0;
-    for (std::size_t j = 0; j < g.m; ++j)
-      row += static_cast<std::int64_t>(groups_active[j]) * global_.element(i, j);
-    total += static_cast<std::int64_t>(rows_active[i]) * row;
-  }
-  return total;
-}
-
-std::int64_t TiledCrossbar::digital_vmv_row_delta(
-    std::size_t i, std::uint32_t r_old, std::uint32_t r_new,
-    const std::uint32_t* groups_active) const {
-  const auto& g = global_.geometry();
-  std::int64_t row = 0;
-  for (std::size_t j = 0; j < g.m; ++j)
-    row += static_cast<std::int64_t>(groups_active[j]) * global_.element(i, j);
-  return (static_cast<std::int64_t>(r_new) - static_cast<std::int64_t>(r_old)) *
-         row;
-}
-
-std::int64_t TiledCrossbar::digital_vmv_group_delta(
-    std::size_t j, std::uint32_t g_old, std::uint32_t g_new,
-    const std::uint32_t* rows_active) const {
-  const auto& g = global_.geometry();
-  std::int64_t col = 0;
-  for (std::size_t i = 0; i < g.n; ++i)
-    col += static_cast<std::int64_t>(rows_active[i]) * global_.element(i, j);
-  return (static_cast<std::int64_t>(g_new) - static_cast<std::int64_t>(g_old)) *
-         col;
 }
 
 }  // namespace cnash::chip

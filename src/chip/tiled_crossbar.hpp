@@ -22,11 +22,8 @@
 // column slices) — the same asymptotics as the monolithic kernels, with the
 // work confined to 1/grid of the cell tables.
 //
-// A separate set of *digital* kernels computes the exact conducting-unit
-// counts (64-bit integers) the same reads would observe on an ideal
-// zero-leakage array — the chip's validation readout. All activation inputs
-// are GLOBAL count vectors; tiles slice them in place via the raw-pointer
-// crossbar kernels (no per-call copies).
+// All activation inputs are GLOBAL count vectors; tiles slice them in place
+// via the raw-pointer crossbar kernels (no per-call copies).
 
 #include <cstdint>
 #include <stdexcept>
@@ -123,27 +120,6 @@ class TiledCrossbar {
   double vmv_group_delta(std::size_t j, std::uint32_t g_old,
                          std::uint32_t g_new, const std::uint32_t* rows_active,
                          double* vmv_cells) const;
-
-  // ---- Exact digital readout (conducting units, zero leakage) ---------------
-  //
-  // One unit = one fully-ON cell equivalent; block (i,j) at r active rows and
-  // g active groups holds exactly r*g*element(i,j) units, so a value is
-  // units / I² — exact integer arithmetic, the bit-exact reference for the
-  // noise-off chip.
-
-  /// units[i] = I * sum_j groups_active[j] * element(i, j)   (all rows on).
-  void digital_mv_units(const std::uint32_t* groups_active,
-                        std::int64_t* units) const;
-  void digital_mv_group_delta(std::size_t j, std::uint32_t g_old,
-                              std::uint32_t g_new, std::int64_t* units) const;
-  std::int64_t digital_vmv_units(const std::uint32_t* rows_active,
-                                 const std::uint32_t* groups_active) const;
-  std::int64_t digital_vmv_row_delta(std::size_t i, std::uint32_t r_old,
-                                     std::uint32_t r_new,
-                                     const std::uint32_t* groups_active) const;
-  std::int64_t digital_vmv_group_delta(std::size_t j, std::uint32_t g_old,
-                                       std::uint32_t g_new,
-                                       const std::uint32_t* rows_active) const;
 
   // ---- Shared conversions ---------------------------------------------------
 

@@ -1,13 +1,9 @@
 #include "chip/tiled_two_phase.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
-
-#include "util/bits.hpp"
 
 namespace cnash::chip {
 
@@ -65,9 +61,6 @@ TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
     throw std::invalid_argument("TiledTwoPhaseEvaluator: I == 0");
   if (config_.refresh_interval == 0)
     throw std::invalid_argument("TiledTwoPhaseEvaluator: refresh_interval == 0");
-  if (chip_.aggregation_noise_rel < 0.0)
-    throw std::invalid_argument(
-        "TiledTwoPhaseEvaluator: aggregation_noise_rel < 0");
 
   const auto [m_scaled, nt_scaled] = scaled_arrays(game_, value_scale_);
   util::Rng rng_m = rng_.split();
@@ -107,21 +100,6 @@ TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
   adc_m_ = make_adc(*chip_m_);
   adc_nt_ = make_adc(*chip_nt_);
 
-  // Aggregation noise per merged output: one equivalent Gaussian scaled by
-  // sqrt(stage depth). Degenerate fan-ins (1×1 grid / single tile column)
-  // have depth 0 and draw nothing.
-  auto agg_sigma = [&](const xbar::Adc& adc, std::size_t fanin) {
-    const std::size_t depth = util::ceil_log2(fanin);
-    return depth == 0 ? 0.0
-                      : chip_.aggregation_noise_rel *
-                            adc.config().full_scale_current *
-                            std::sqrt(static_cast<double>(depth));
-  };
-  agg_sigma_mv_m_ = agg_sigma(*adc_m_, chip_m_->partition().grid_cols());
-  agg_sigma_mv_nt_ = agg_sigma(*adc_nt_, chip_nt_->partition().grid_cols());
-  agg_sigma_vmv_m_ = agg_sigma(*adc_m_, chip_m_->partition().num_tiles());
-  agg_sigma_vmv_nt_ = agg_sigma(*adc_nt_, chip_nt_->partition().num_tiles());
-
   size_state(committed_);
   size_state(scratch_);
   size_state(eval_state_);
@@ -130,11 +108,6 @@ TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
 void TiledTwoPhaseEvaluator::size_state(State& st) const {
   const std::size_t n = game_.num_actions1();
   const std::size_t m = game_.num_actions2();
-  if (chip_.readout == ChipReadout::kIdealDigital) {
-    st.m.mv_units.assign(n, 0);
-    st.nt.mv_units.assign(m, 0);
-    return;
-  }
   st.m.mv_partial.assign(chip_m_->partition().grid_cols() * n, 0.0);
   st.m.mv_total.assign(n, 0.0);
   st.m.vmv_partial.assign(chip_m_->partition().num_tiles(), 0.0);
@@ -146,14 +119,6 @@ void TiledTwoPhaseEvaluator::size_state(State& st) const {
 void TiledTwoPhaseEvaluator::full_read(
     State& st, const std::vector<std::uint32_t>& p_counts,
     const std::vector<std::uint32_t>& q_counts) const {
-  if (chip_.readout == ChipReadout::kIdealDigital) {
-    chip_m_->digital_mv_units(q_counts.data(), st.m.mv_units.data());
-    chip_nt_->digital_mv_units(p_counts.data(), st.nt.mv_units.data());
-    st.m.vmv_units = chip_m_->digital_vmv_units(p_counts.data(), q_counts.data());
-    st.nt.vmv_units =
-        chip_nt_->digital_vmv_units(q_counts.data(), p_counts.data());
-    return;
-  }
   chip_m_->read_mv_partials(q_counts.data(), st.m.mv_partial.data());
   chip_nt_->read_mv_partials(p_counts.data(), st.nt.mv_partial.data());
   chip_m_->read_vmv_partials(p_counts.data(), q_counts.data(),
@@ -177,95 +142,22 @@ void TiledTwoPhaseEvaluator::full_read(
 }
 
 double TiledTwoPhaseEvaluator::digitize(const State& st) {
-  switch (chip_.readout) {
-    case ChipReadout::kAnalogHTree:
-      return digitize_analog(st);
-    case ChipReadout::kPerTileAdc:
-      return digitize_per_tile_adc(st);
-    case ChipReadout::kIdealDigital:
-      return digitize_digital(st);
-  }
-  throw std::logic_error("TiledTwoPhaseEvaluator: unknown readout");
-}
-
-double TiledTwoPhaseEvaluator::digitize_analog(const State& st) {
-  // ---- Phase 1: H-tree row aggregation -> WTA -> max(Mq), max(Nᵀp). --------
-  auto noisy_rows = [&](const std::vector<double>& totals, double sigma) {
-    if (sigma <= 0.0) return totals.data();
-    agg_scratch_.assign(totals.begin(), totals.end());
-    for (double& v : agg_scratch_) v += rng_.normal(0.0, sigma);
-    return static_cast<const double*>(agg_scratch_.data());
-  };
-  const double* mv_m = noisy_rows(st.m.mv_total, agg_sigma_mv_m_);
-  const double max_mq_current =
-      wta_rows_->reduce(mv_m, st.m.mv_total.size(), &rng_, wta_scratch_);
-  const double* mv_nt = noisy_rows(st.nt.mv_total, agg_sigma_mv_nt_);
-  const double max_ntp_current =
-      wta_cols_->reduce(mv_nt, st.nt.mv_total.size(), &rng_, wta_scratch_);
+  // ---- Phase 1: H-tree row sums -> WTA -> max(Mq), max(Nᵀp). ---------------
+  const double max_mq_current = wta_rows_->reduce(
+      st.m.mv_total.data(), st.m.mv_total.size(), &rng_, wta_scratch_);
+  const double max_ntp_current = wta_cols_->reduce(
+      st.nt.mv_total.data(), st.nt.mv_total.size(), &rng_, wta_scratch_);
   const double max_mq =
       chip_m_->current_to_value(adc_m_->convert(max_mq_current, rng_));
   const double max_ntp =
       chip_nt_->current_to_value(adc_nt_->convert(max_ntp_current, rng_));
 
-  // ---- Phase 2: grid aggregation -> total currents -> pᵀMq, pᵀNq. ----------
-  double vm = st.m.vmv_total;
-  if (agg_sigma_vmv_m_ > 0.0) vm += rng_.normal(0.0, agg_sigma_vmv_m_);
-  double vn = st.nt.vmv_total;
-  if (agg_sigma_vmv_nt_ > 0.0) vn += rng_.normal(0.0, agg_sigma_vmv_nt_);
-  const double vmv_m = chip_m_->current_to_value(adc_m_->convert(vm, rng_));
-  const double vmv_n = chip_nt_->current_to_value(adc_nt_->convert(vn, rng_));
+  // ---- Phase 2: grid sums -> total currents -> pᵀMq, pᵀNq. -----------------
+  const double vmv_m =
+      chip_m_->current_to_value(adc_m_->convert(st.m.vmv_total, rng_));
+  const double vmv_n =
+      chip_nt_->current_to_value(adc_nt_->convert(st.nt.vmv_total, rng_));
 
-  last_ = {max_mq, max_ntp, vmv_m, vmv_n};
-  return (max_mq + max_ntp - vmv_m - vmv_n) / value_scale_;
-}
-
-double TiledTwoPhaseEvaluator::digitize_per_tile_adc(const State& st) {
-  // Every tile output is digitised by its own converter (identical config to
-  // the shared one — the full-scale bound holds per tile because activations
-  // are distribution-normalised), then aggregation and max are digital.
-  auto mv_max = [&](const TiledCrossbar& xb, const ArrayState& a,
-                    const xbar::Adc& adc, std::size_t rows) {
-    const std::size_t grid_cols = xb.partition().grid_cols();
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < rows; ++i) {
-      double sum = 0.0;
-      for (std::size_t tc = 0; tc < grid_cols; ++tc)
-        sum += adc.convert(a.mv_partial[tc * rows + i], rng_);
-      best = std::max(best, sum);
-    }
-    return xb.current_to_value(best);
-  };
-  const double max_mq =
-      mv_max(*chip_m_, st.m, *adc_m_, game_.num_actions1());
-  const double max_ntp =
-      mv_max(*chip_nt_, st.nt, *adc_nt_, game_.num_actions2());
-
-  auto vmv_value = [&](const TiledCrossbar& xb, const ArrayState& a,
-                       const xbar::Adc& adc) {
-    double sum = 0.0;
-    for (const double v : a.vmv_partial) sum += adc.convert(v, rng_);
-    return xb.current_to_value(sum);
-  };
-  const double vmv_m = vmv_value(*chip_m_, st.m, *adc_m_);
-  const double vmv_n = vmv_value(*chip_nt_, st.nt, *adc_nt_);
-
-  last_ = {max_mq, max_ntp, vmv_m, vmv_n};
-  return (max_mq + max_ntp - vmv_m - vmv_n) / value_scale_;
-}
-
-double TiledTwoPhaseEvaluator::digitize_digital(const State& st) {
-  // Integer unit counts -> payoff values; units/I² is exact for integer
-  // payoffs, and exactly representable for power-of-two I.
-  const double ii =
-      static_cast<double>(intervals_) * static_cast<double>(intervals_);
-  const std::int64_t best_m =
-      *std::max_element(st.m.mv_units.begin(), st.m.mv_units.end());
-  const std::int64_t best_nt =
-      *std::max_element(st.nt.mv_units.begin(), st.nt.mv_units.end());
-  const double max_mq = static_cast<double>(best_m) / ii;
-  const double max_ntp = static_cast<double>(best_nt) / ii;
-  const double vmv_m = static_cast<double>(st.m.vmv_units) / ii;
-  const double vmv_n = static_cast<double>(st.nt.vmv_units) / ii;
   last_ = {max_mq, max_ntp, vmv_m, vmv_n};
   return (max_mq + max_ntp - vmv_m - vmv_n) / value_scale_;
 }
@@ -317,14 +209,7 @@ void TiledTwoPhaseEvaluator::apply_move(State& st,
   if (f == 0 || t >= intervals_)
     throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
 
-  if (chip_.readout == ChipReadout::kIdealDigital) {
-    lines.vmv_units += xl.digital_vmv_row_delta(mv.from, f, f - 1, other) +
-                       xl.digital_vmv_row_delta(mv.to, t, t + 1, other);
-    groups.vmv_units += xg.digital_vmv_group_delta(mv.from, f, f - 1, other) +
-                        xg.digital_vmv_group_delta(mv.to, t, t + 1, other);
-    xg.digital_mv_group_delta(mv.from, f, f - 1, groups.mv_units.data());
-    xg.digital_mv_group_delta(mv.to, t, t + 1, groups.mv_units.data());
-  } else if (!partials) {
+  if (!partials) {
     lines.vmv_total += xl.vmv_row_delta(mv.from, f, f - 1, other, nullptr) +
                        xl.vmv_row_delta(mv.to, t, t + 1, other, nullptr);
     groups.vmv_total +=
@@ -348,26 +233,14 @@ double TiledTwoPhaseEvaluator::propose(const core::TickMove* moves,
                                        std::size_t count) {
   if (!primed_)
     throw std::logic_error("TiledTwoPhaseEvaluator::propose before reset()");
-  if (chip_.readout == ChipReadout::kPerTileAdc)
-    // Per-tile quantisation breaks delta linearity; proposals would digitize
-    // stale scratch partials. incremental() already reports unavailability.
-    throw std::logic_error(
-        "TiledTwoPhaseEvaluator::propose unavailable in per-tile ADC mode");
   // Rejected proposals are discarded by re-deriving the scratch totals from
   // the committed state — O(m+n) copies, no tile access. Per-tile partials
   // are not copied: proposals score on the aggregated totals, and a commit
   // replays the deltas into the committed partials.
-  if (chip_.readout == ChipReadout::kIdealDigital) {
-    scratch_.m.mv_units = committed_.m.mv_units;
-    scratch_.nt.mv_units = committed_.nt.mv_units;
-    scratch_.m.vmv_units = committed_.m.vmv_units;
-    scratch_.nt.vmv_units = committed_.nt.vmv_units;
-  } else {
-    scratch_.m.mv_total = committed_.m.mv_total;
-    scratch_.nt.mv_total = committed_.nt.mv_total;
-    scratch_.m.vmv_total = committed_.m.vmv_total;
-    scratch_.nt.vmv_total = committed_.nt.vmv_total;
-  }
+  scratch_.m.mv_total = committed_.m.mv_total;
+  scratch_.nt.mv_total = committed_.nt.mv_total;
+  scratch_.m.vmv_total = committed_.m.vmv_total;
+  scratch_.nt.vmv_total = committed_.nt.vmv_total;
   p_scratch_ = p_counts_;
   q_scratch_ = q_counts_;
   pending_.assign(moves, moves + count);
@@ -384,15 +257,6 @@ void TiledTwoPhaseEvaluator::commit() {
   // The proposal's totals are exactly the values digitize() scored: take
   // them over, then replay the accepted moves into the per-tile partials
   // (which walks the committed counts forward to the proposal's).
-  if (chip_.readout == ChipReadout::kIdealDigital) {
-    committed_.m.mv_units.swap(scratch_.m.mv_units);
-    committed_.nt.mv_units.swap(scratch_.nt.mv_units);
-    committed_.m.vmv_units = scratch_.m.vmv_units;
-    committed_.nt.vmv_units = scratch_.nt.vmv_units;
-    p_counts_.swap(p_scratch_);
-    q_counts_.swap(q_scratch_);
-    return;  // exact integers: no partials, no drift
-  }
   committed_.m.mv_total.swap(scratch_.m.mv_total);
   committed_.nt.mv_total.swap(scratch_.nt.mv_total);
   committed_.m.vmv_total = scratch_.m.vmv_total;

@@ -12,12 +12,13 @@
 //          f = max(Mq) + max(Nᵀp) − pᵀMq − pᵀNq.
 //
 // Both logical crossbars are sharded over grids of fixed-capacity tiles
-// (chip/tiled_crossbar); the per-tile outputs are merged by an H-tree adder
-// stage and the merged Phase-1 line currents feed the WTA trees / ADCs.
-// "hardware-sa" is the degenerate chip: one tile sized to hold both arrays
-// whole (single_tile_chip), whose 1×1 grids have no aggregation stage.
-// Every SA iteration experiences device variability, WTA offset and ADC
-// quantization exactly as the architecture would.
+// (chip/tiled_crossbar). One datapath reads them: tile partials, H-tree
+// current sums, WTA, ADC. The H-tree sums ideally and draws no RNG, so the
+// per-read noise draws do not depend on the grid. "hardware-sa" is the
+// degenerate chip: one tile sized to hold both arrays whole
+// (single_tile_chip), whose 1×1 grids have nothing to sum. Every SA
+// iteration experiences device variability, WTA offset and ADC quantization
+// exactly as the architecture would.
 //
 // Incremental fast path (propose/commit protocol): a single SA tick move
 // changes one entry of p or q by ±1/I, so the architecture only re-drives
@@ -31,17 +32,6 @@
 // full-read path. A commit takes over the proposal's totals and replays the
 // moves into the per-tile partials; a full re-read every `refresh_interval`
 // commits bounds floating-point drift.
-//
-// Readout modes (ChipConfig::readout):
-//   * kAnalogHTree  — analog current summation + shared ADC. A 1×1 grid
-//                     draws no aggregation noise, so its draw sequence is
-//                     that of the plain array whatever the tile size.
-//   * kPerTileAdc   — every tile output digitised by its own ADC, digital
-//                     aggregation and digital max. Per-tile quantisation
-//                     breaks delta linearity, so incremental() is disabled.
-//   * kIdealDigital — exact integer conducting-unit counts, WTA/ADC
-//                     bypassed; with integer payoffs and power-of-two I the
-//                     objective is bit-identical to core::ExactMaxQubo.
 
 #include <cstdint>
 #include <memory>
@@ -73,7 +63,7 @@ ArrayGeometry mapped_geometry(const game::BimatrixGame& game,
                               const core::TwoPhaseConfig& config);
 
 /// "hardware-sa"'s chip: one tile just large enough to hold both arrays
-/// whole, read out through the analog path with no aggregation stage.
+/// whole, so neither grid has an aggregation stage.
 ChipConfig single_tile_chip(const ArrayGeometry& geometry);
 
 class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
@@ -81,8 +71,8 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
  public:
   /// Programs both tile grids from the game. `intervals` is the strategy
   /// quantization I; `config` carries the array / WTA / ADC / value-coding
-  /// knobs, `chip` the tile dimensions and aggregation model; `rng` drives
-  /// the one-time device sampling and the per-read noise afterwards.
+  /// knobs, `chip` the tile dimensions; `rng` drives the one-time device
+  /// sampling and the per-read noise afterwards.
   ///
   /// `fault` (optional) is consumed during construction only: tile-failure
   /// rolls use scope base 0 for the M grid and kNtFaultScope for the Nᵀ grid.
@@ -108,9 +98,7 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
   double evaluate(const game::QuantizedProfile& profile) override;
   const game::BimatrixGame& game() const override { return game_; }
   core::IncrementalEvaluator* incremental() override {
-    return (config_.incremental && chip_.readout != ChipReadout::kPerTileAdc)
-               ? this
-               : nullptr;
+    return config_.incremental ? this : nullptr;
   }
 
   // IncrementalEvaluator protocol: O(m+n) per tick move, same noise/ADC
@@ -150,17 +138,15 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
   }
 
  private:
-  /// Per-array analog + digital observables. Partials are maintained in the
-  /// committed state only; proposals work on the aggregated totals (the
-  /// digitisation input), which a commit takes over before replaying the
-  /// moves into the partials.
+  /// Per-array analog observables. Partials are maintained in the committed
+  /// state only; proposals work on the aggregated totals (the digitisation
+  /// input), which a commit takes over before replaying the moves into the
+  /// partials.
   struct ArrayState {
     std::vector<double> mv_partial;   // grid_cols × n (analog readouts)
     std::vector<double> mv_total;     // n aggregated line currents
     std::vector<double> vmv_partial;  // grid_rows × grid_cols
     double vmv_total = 0.0;
-    std::vector<std::int64_t> mv_units;  // n (kIdealDigital)
-    std::int64_t vmv_units = 0;
   };
   struct State {
     ArrayState m;   // the M array: rows = player-1 actions
@@ -176,11 +162,9 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
   void apply_move(State& st, std::vector<std::uint32_t>& p_counts,
                   std::vector<std::uint32_t>& q_counts,
                   const core::TickMove& mv, bool partials);
-  /// Aggregation + WTA + noise + ADC on `st`; updates last_ and returns f.
+  /// WTA + noise + ADC on the aggregated totals of `st`; updates last_ and
+  /// returns f.
   double digitize(const State& st);
-  double digitize_analog(const State& st);
-  double digitize_per_tile_adc(const State& st);
-  double digitize_digital(const State& st);
 
   game::BimatrixGame game_;
   std::uint32_t intervals_;
@@ -196,18 +180,13 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
   std::unique_ptr<xbar::Adc> adc_nt_;
   PhaseReadout last_{};
 
-  // H-tree aggregation noise (per aggregated output per read): sigma already
-  // scaled by sqrt(stage depth); 0 when the grid needs no aggregation.
-  double agg_sigma_mv_m_ = 0.0, agg_sigma_mv_nt_ = 0.0;
-  double agg_sigma_vmv_m_ = 0.0, agg_sigma_vmv_nt_ = 0.0;
-
   // Incremental state (see class comment).
   std::vector<std::uint32_t> p_counts_, q_counts_;    // committed
   std::vector<std::uint32_t> p_scratch_, q_scratch_;  // proposal
   State committed_, scratch_;
   State eval_state_;  // evaluate()'s workspace, independent of proposals
   std::vector<core::TickMove> pending_;  // outstanding proposal's moves
-  std::vector<double> wta_scratch_, agg_scratch_;
+  std::vector<double> wta_scratch_;
   bool primed_ = false;
   bool proposal_outstanding_ = false;
   std::size_t commits_since_refresh_ = 0;

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "chip/tile_partition.hpp"
+#include "chip/tiled_two_phase.hpp"
 #include "core/resilient.hpp"
 #include "core/timing.hpp"
 #include "game/lemke_howson.hpp"
@@ -21,6 +24,43 @@ double SolveReport::nash_rate() const {
   if (samples.empty()) return 0.0;
   return static_cast<double>(nash_count) / static_cast<double>(samples.size());
 }
+
+namespace {
+
+/// True when the product of `factors` exceeds `cap`. The running product
+/// never exceeds `cap`, so nothing overflows whatever the factors.
+bool product_exceeds(std::initializer_list<std::uint64_t> factors,
+                     std::uint64_t cap) {
+  std::uint64_t product = 1;
+  for (const std::uint64_t f : factors) {
+    if (f == 0) return false;
+    if (product > cap / f) return true;
+    product *= f;
+  }
+  return false;
+}
+
+/// The chip-model half of validate_request for a hardware request: maps
+/// both arrays (which rejects payoffs that do not code as cells), caps their
+/// cell counts, and on a tiled chip cuts them into tiles.
+void validate_chip_geometry(const SolveRequest& request, bool tiled) {
+  const chip::ArrayGeometry geometry =
+      chip::mapped_geometry(request.game, request.intervals, request.hardware);
+  for (const xbar::MappingGeometry* g : {&geometry.m, &geometry.nt}) {
+    if (product_exceeds({g->n, g->intervals, g->m, g->intervals,
+                         g->cells_per_element},
+                        kMaxArrayCells))
+      throw std::invalid_argument(
+          "invalid solve request: a crossbar array of this game would exceed " +
+          std::to_string(kMaxArrayCells) +
+          " cells (n*I word lines x m*I*t bit lines; t grows with the largest "
+          "payoff after shift and scale)");
+    if (tiled)  // throws when a tile cannot hold one element block
+      chip::TilePartition(*g, request.chip.tile_rows, request.chip.tile_cols);
+  }
+}
+
+}  // namespace
 
 void validate_request(const SolveRequest& request) {
   if (request.runs == 0)
@@ -82,6 +122,11 @@ void validate_request(const SolveRequest& request) {
           throw std::invalid_argument(
               "invalid solve request: non-finite payoff in game \"" +
               request.game.name() + "\"");
+  const std::string& hardware = request.backend == "resilient"
+                                    ? request.resilient_primary
+                                    : request.backend;
+  if (hardware == "hardware-sa" || hardware == "hardware-sa-tiled")
+    validate_chip_geometry(request, hardware == "hardware-sa-tiled");
 }
 
 void verify_samples(const game::BimatrixGame& game, double nash_eps,

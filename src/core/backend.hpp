@@ -167,12 +167,21 @@ class SolverBackend {
 /// memory.
 inline constexpr std::size_t kMaxRuns = std::size_t{1} << 20;
 inline constexpr std::size_t kMaxReplicas = 64;
+/// Physical cells either crossbar array of a hardware request may map to
+/// (n·I word lines × m·I·t bit lines). Programming samples every cell, so
+/// the cap bounds a unit's time and memory. It sits above every array this
+/// repo programs (perfbench's largest ≈ 4.1 M cells, random_128.game at
+/// I = 12 ≈ 21 M).
+inline constexpr std::uint64_t kMaxArrayCells = std::uint64_t{1} << 25;
 
 /// Submit-time request validation: throws std::invalid_argument with a clear
 /// message for requests that could only fail later on a worker thread
 /// (zero or more than kMaxRuns sample units, zero intervals, degenerate game
-/// payoffs). Backend-key resolution is validated separately by the registry
-/// lookup.
+/// payoffs). Hardware requests ("hardware-sa", "hardware-sa-tiled" and
+/// "resilient" over either) must also map onto the chip: integer payoffs
+/// after the shift and scale, at most kMaxArrayCells cells per array, and
+/// on a tiled chip a tile that holds one element block. Backend-key
+/// resolution is validated separately by the registry lookup.
 void validate_request(const SolveRequest& request);
 
 /// ε-Nash verification of freshly produced samples: sets is_nash and regret

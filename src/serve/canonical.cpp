@@ -136,8 +136,11 @@ GameKey request_key(const core::SolveRequest& req) {
   // Chip / tiling knobs.
   kb.u64(req.chip.tile_rows);
   kb.u64(req.chip.tile_cols);
-  kb.u32(static_cast<std::uint32_t>(req.chip.readout));
-  kb.f64(req.chip.aggregation_noise_rel);
+  // Two retired chip knobs (a readout mode and an H-tree noise level) keyed
+  // here; the wire never set them, so every stored key holds these bytes.
+  // Writing them keeps those keys valid without a salt bump.
+  kb.u32(0);
+  kb.f64(0.0);
   // Robustness knobs. The deadline keys the cache even though degraded
   // reports are never inserted: a pending (coalescable) solve's result set
   // depends on it, so two requests differing only in deadline must never

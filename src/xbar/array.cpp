@@ -223,25 +223,6 @@ ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
     }
 }
 
-double ProgrammedCrossbar::block_row_current(
-    std::size_t i, const std::vector<std::uint32_t>& rows_active,
-    const std::vector<std::uint32_t>& groups_active) const {
-  const auto& g = mapping_.geometry();
-  if (i >= g.n) throw std::out_of_range("block_row_current");
-  if (rows_active.size() != g.n || groups_active.size() != g.m)
-    throw std::invalid_argument("block_row_current: activation size mismatch");
-  const std::uint32_t r = rows_active[i];
-  if (r > g.intervals) throw std::invalid_argument("rows_active > I");
-  const double* row = block_table(i, 0) + r * table_dim_;
-  double current = 0.0;
-  for (std::size_t j = 0; j < g.m; ++j) {
-    const std::uint32_t gr = groups_active[j];
-    if (gr > g.intervals) throw std::invalid_argument("groups_active > I");
-    current += row[j * block_stride_ + gr];
-  }
-  return current;
-}
-
 std::vector<double> ProgrammedCrossbar::read_mv(
     const std::vector<std::uint32_t>& groups_active) const {
   std::vector<double> out(mapping_.geometry().n);
@@ -376,12 +357,6 @@ double ProgrammedCrossbar::sampled_cell_current(std::size_t row,
                         table[(r + 1) * table_dim_ + gr] +
                         table[r * table_dim_ + gr];
   return bundle / mapping_.geometry().cells_per_element;
-}
-
-double ProgrammedCrossbar::cell_current(std::size_t row, std::size_t col,
-                                        bool row_active, bool col_active) const {
-  if (!row_active || !col_active) return 0.0;
-  return sampled_cell_current(row, col);
 }
 
 double ProgrammedCrossbar::read_vmv_percell(

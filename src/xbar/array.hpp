@@ -60,13 +60,6 @@ class ProgrammedCrossbar {
   const CrossbarMapping& mapping() const { return mapping_; }
   const ArrayConfig& config() const { return config_; }
 
-  /// Source-line current of block-row i for an activation pattern
-  /// (rows_active[i] word lines of block-row i, groups_active[j] groups of
-  /// block column j). Includes OFF-state leakage of activated '0' cells.
-  double block_row_current(std::size_t i,
-                           const std::vector<std::uint32_t>& rows_active,
-                           const std::vector<std::uint32_t>& groups_active) const;
-
   /// All block-row currents: the analog vector that feeds the WTA tree.
   /// For an MV read (Mq), pass rows_active = I everywhere.
   std::vector<double> read_mv(
@@ -125,10 +118,6 @@ class ProgrammedCrossbar {
   /// Slow path: direct sum over the activated cells (validation only).
   double read_vmv_percell(const std::vector<std::uint32_t>& rows_active,
                           const std::vector<std::uint32_t>& groups_active) const;
-
-  /// Current of one physical cell under explicit activation (validation).
-  double cell_current(std::size_t row, std::size_t col, bool row_active,
-                      bool col_active) const;
 
   /// Nominal full-ON single-cell current.
   double nominal_on_current() const { return i_on_nominal_; }

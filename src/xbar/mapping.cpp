@@ -1,19 +1,27 @@
 #include "xbar/mapping.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace cnash::xbar {
 
 la::Matrix require_integer_matrix(const la::Matrix& payoff, double tol) {
+  // Elements are stored as uint32: a larger value must be rejected before
+  // the cast, which would otherwise be undefined behaviour.
+  constexpr double kMaxElement = std::numeric_limits<std::uint32_t>::max();
   la::Matrix out(payoff.rows(), payoff.cols());
   for (std::size_t r = 0; r < payoff.rows(); ++r)
     for (std::size_t c = 0; c < payoff.cols(); ++c) {
       const double v = payoff(r, c);
       const double rounded = std::round(v);
-      if (std::abs(v - rounded) > tol || rounded < 0.0)
+      if (std::isnan(v) || std::abs(v - rounded) > tol || rounded < 0.0)
         throw std::invalid_argument(
             "crossbar mapping requires non-negative integer payoffs");
+      if (rounded > kMaxElement)
+        throw std::invalid_argument(
+            "crossbar mapping requires payoffs <= 2^32 - 1");
       out(r, c) = rounded;
     }
   return out;

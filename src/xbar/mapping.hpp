@@ -88,7 +88,8 @@ class CrossbarMapping {
 };
 
 /// Round-to-nearest integer payoff check: returns the integer matrix when all
-/// entries of `payoff` are (within tol) non-negative integers, else throws.
+/// entries of `payoff` are (within tol) integers in [0, 2^32 - 1], else
+/// throws std::invalid_argument.
 la::Matrix require_integer_matrix(const la::Matrix& payoff, double tol = 1e-9);
 
 }  // namespace cnash::xbar

@@ -11,8 +11,9 @@
 //     bit-identical to its wrapped primary; with 100% tile faults every unit
 //     falls back to exact-sa (fallback_count == runs) and the samples match a
 //     pure exact-sa solve bit for bit;
-//   * validate_request — the deadline / fault / resilient_primary knobs and
-//     the run / replica caps reject bad requests at submit time;
+//   * validate_request — the deadline / fault / resilient_primary knobs,
+//     the run / replica caps and, on every hardware path, games the chip
+//     model cannot hold reject bad requests at submit time;
 //   * SolverService deadlines — anytime degradation: a deadline-bounded job
 //     returns degraded=true with units accounting within deadline + one
 //     unit's wall time, and a drained service rejects submissions with
@@ -24,6 +25,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "chip/tiled_crossbar.hpp"
@@ -392,6 +394,73 @@ TEST(ValidateRequest, RejectsNonHardwareResilientPrimaries) {
   EXPECT_THROW(core::validate_request(req), std::invalid_argument);
   req.resilient_primary = "hardware-sa-tiled";
   EXPECT_NO_THROW(core::validate_request(req));
+}
+
+TEST(ValidateRequest, RejectsGamesTheChipCannotHold) {
+  // Every hardware path maps the game at submit time, so a game the chip
+  // model cannot hold is a bad request rather than a failure (or a
+  // minutes-long, gigabyte-sized programming run) on a worker thread.
+  auto with_payoff = [](double v) {
+    return game::BimatrixGame(la::Matrix{{v, 0}, {0, 1}},
+                              la::Matrix{{1, 0}, {0, 2}}, "probe");
+  };
+  // 1×1 game at I = 1: the M array holds exactly `cells` cells.
+  auto with_cells = [](std::uint64_t cells) {
+    core::SolveRequest req(game::BimatrixGame(
+        la::Matrix(1, 1, static_cast<double>(cells)), la::Matrix(1, 1), "1x1"));
+    req.intervals = 1;
+    req.chip.tile_cols = core::kMaxArrayCells;  // one block fits a tile
+    return req;
+  };
+  struct Target {
+    const char* backend;
+    const char* primary;
+    bool tiled;
+  };
+  for (const Target& t : {Target{"hardware-sa", "hardware-sa", false},
+                          Target{"hardware-sa-tiled", "hardware-sa", true},
+                          Target{"resilient", "hardware-sa", false},
+                          Target{"resilient", "hardware-sa-tiled", true}}) {
+    const std::string name = std::string(t.backend) + "/" + t.primary;
+    auto request = [&](core::SolveRequest req) {
+      req.backend = t.backend;
+      req.resilient_primary = t.primary;
+      return req;
+    };
+    EXPECT_NO_THROW(core::validate_request(request(
+        core::SolveRequest(game::battle_of_sexes()))))
+        << name;
+    EXPECT_THROW(core::validate_request(
+                     request(core::SolveRequest(with_payoff(0.5)))),
+                 std::invalid_argument)
+        << name;
+    // A tile smaller than one I×(I·t) element block; "hardware-sa" sizes
+    // its own tile and ignores the chip knobs.
+    core::SolveRequest small_tile =
+        request(core::SolveRequest(game::battle_of_sexes()));
+    small_tile.chip.tile_rows = small_tile.intervals - 1;
+    if (t.tiled) {
+      EXPECT_THROW(core::validate_request(small_tile), std::invalid_argument)
+          << name;
+    } else {
+      EXPECT_NO_THROW(core::validate_request(small_tile)) << name;
+    }
+    EXPECT_NO_THROW(
+        core::validate_request(request(with_cells(core::kMaxArrayCells))))
+        << name;
+    EXPECT_THROW(
+        core::validate_request(request(with_cells(core::kMaxArrayCells + 1))),
+        std::invalid_argument)
+        << name;
+    // Above 2^32 - 1 an element no longer fits the mapping's uint32 cells.
+    EXPECT_THROW(core::validate_request(
+                     request(core::SolveRequest(with_payoff(1e12)))),
+                 std::invalid_argument)
+        << name;
+  }
+  core::SolveRequest exact(with_payoff(0.5));
+  exact.backend = "exact-sa";
+  EXPECT_NO_THROW(core::validate_request(exact));
 }
 
 // ---- SolverService: deadlines and drain -------------------------------------

@@ -1,7 +1,8 @@
 // The Nash-serving gateway (src/serve/). Contracts under test:
 //   * canonicalization: permuted-but-identical games (and their solve
-//     parameters) share a GameKey, near-identical games never do, and
-//     map_to_original() inverts the canonical permutation;
+//     parameters) share a GameKey, near-identical games never do, the key
+//     bytes of a fixed request are pinned, and map_to_original() inverts
+//     the canonical permutation;
 //   * SolutionCache: LRU eviction order under a byte budget, hit/miss/
 //     eviction counters, and a cached report bit-identical to a fresh solve
 //     with the same seed;
@@ -202,6 +203,20 @@ TEST(Canonicalization, NearIdenticalGamesAndParamsHashDifferent) {
   // Neither does the game's display name.
   const game::BimatrixGame renamed(g.payoff1(), g.payoff2(), "other");
   EXPECT_EQ(canonicalize(quick_request(renamed)).key.blob, base.key.blob);
+}
+
+TEST(Canonicalization, KeyBytesOfAFixedRequestArePinned) {
+  // The gateway's disk store persists GameKeys across restarts, so the key
+  // schema may only change together with the version salt. These constants
+  // were recorded from the schema as it stands; if this test fails, bump the
+  // salt in request_key() and re-pin.
+  core::SolveRequest req(game::bird_game());
+  req.backend = "hardware-sa-tiled";
+  req.chip.tile_rows = 64;
+  req.chip.tile_cols = 256;
+  const CanonicalRequest canonical = canonicalize(req);
+  EXPECT_EQ(canonical.key.digest, 0xa1d6f99306b2fa55ull);
+  EXPECT_EQ(canonical.key.blob.size(), 440u);
 }
 
 TEST(Canonicalization, MapToOriginalInvertsThePermutation) {
@@ -1144,10 +1159,26 @@ TEST(ServeGuards, OversizedSolveGetsBadRequestAndTheGatewayKeepsServing) {
                      std::to_string(wire_max)));
   ASSERT_FALSE(ensemble.at("ok").as_bool());
   EXPECT_EQ(ensemble.at("error").at("code").as_string(), "bad_request");
+  // Payoffs the chip model cannot hold: 10^6 codes as 10^6 cells per
+  // element (minutes of programming, gigabytes of memory), 10^12 does not
+  // fit the mapping's 32-bit elements at all.
+  for (const double payoff : {1e6, 1e12}) {
+    const game::BimatrixGame g(la::Matrix{{payoff, 0}, {0, 1}},
+                               la::Matrix{{1, 0}, {0, 2}}, "huge payoff");
+    const util::Json huge_payoff =
+        client.request(solve_line(g, 3, "hardware-sa", 1, 10));
+    ASSERT_FALSE(huge_payoff.at("ok").as_bool()) << payoff;
+    EXPECT_EQ(huge_payoff.at("error").at("code").as_string(), "bad_request")
+        << payoff;
+  }
 
-  const util::Json ok = client.request(solve_line(game::battle_of_sexes(), 3));
+  const util::Json ok = client.request(solve_line(game::battle_of_sexes(), 4));
   EXPECT_TRUE(ok.at("ok").as_bool());
   EXPECT_EQ(ok.at("report").at("samples").size(), 4u);
+  const util::Json hw =
+      client.request(solve_line(game::battle_of_sexes(), 5, "hardware-sa"));
+  EXPECT_TRUE(hw.at("ok").as_bool());
+  EXPECT_EQ(hw.at("report").at("samples").size(), 4u);
 }
 
 TEST(ServeGuards, NonReadingPipelinerIsAbortedAtTheOutputCap) {

@@ -25,6 +25,15 @@ TEST(Mapping, RejectsNonIntegerAndNegative) {
   EXPECT_THROW(CrossbarMapping(la::Matrix{{1.5}}, 4), std::invalid_argument);
   EXPECT_THROW(CrossbarMapping(la::Matrix{{-1.0}}, 4), std::invalid_argument);
   EXPECT_THROW(CrossbarMapping(la::Matrix{{5}}, 4, 3), std::invalid_argument);
+  // Elements are uint32: 2^32 - 1 is the largest that maps, and anything
+  // above it (or NaN) is rejected before the narrowing cast.
+  EXPECT_EQ(CrossbarMapping(la::Matrix{{4294967295.0}}, 4).element(0, 0),
+            4294967295u);
+  EXPECT_THROW(CrossbarMapping(la::Matrix{{4294967296.0}}, 4),
+               std::invalid_argument);
+  EXPECT_THROW(CrossbarMapping(la::Matrix{{1e12}}, 4), std::invalid_argument);
+  EXPECT_THROW(CrossbarMapping(la::Matrix{{std::nan("")}}, 4),
+               std::invalid_argument);
 }
 
 TEST(Mapping, DefaultCellsPerElementIsMaxEntry) {
