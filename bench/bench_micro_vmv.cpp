@@ -17,6 +17,7 @@
 #include "core/anneal.hpp"
 #include "core/engine.hpp"
 #include "game/games.hpp"
+#include "game/random_games.hpp"
 #include "qubo/annealer.hpp"
 #include "qubo/squbo_builder.hpp"
 #include "simd/simd.hpp"
@@ -164,19 +165,42 @@ void BM_SQuboAnnealRead(benchmark::State& state) {
 }
 BENCHMARK(BM_SQuboAnnealRead)->Unit(benchmark::kMicrosecond);
 
+// Programming one payoff array with device variability. Arg 0/1: a paper
+// Table 1 instance's M array on one crossbar. Arg 2: a 64-action game with
+// integer payoffs 0..7 at I = 12, the size of perfbench's largest hardware
+// jobs, on one crossbar; Arg 3: the same array on 16×256 tiles (a 64×22 grid
+// of 1408 tiles), where per-tile costs show.
 void BM_CrossbarProgramming(benchmark::State& state) {
-  const auto inst = game::paper_benchmarks()[static_cast<std::size_t>(
-      state.range(0))];
-  const auto shifted = inst.game.shifted_non_negative(0.0);
+  const auto arg = static_cast<std::size_t>(state.range(0));
+  la::Matrix payoff;
+  std::uint32_t intervals = 12;
+  if (arg < 2) {
+    const auto inst = game::paper_benchmarks()[arg];
+    payoff = inst.game.shifted_non_negative(0.0).payoff1();
+    intervals = inst.intervals;
+  } else {
+    util::Rng game_rng(64);
+    payoff = game::random_integer_game(64, 64, game_rng, 0, 7).payoff1();
+  }
+  const xbar::ArrayConfig cfg;
   for (auto _ : state) {
     util::Rng rng(10);
-    xbar::CrossbarMapping map(shifted.payoff1(), inst.intervals);
-    xbar::ArrayConfig cfg;
-    benchmark::DoNotOptimize(
-        xbar::ProgrammedCrossbar(std::move(map), cfg, rng));
+    if (arg == 3) {
+      benchmark::DoNotOptimize(chip::TiledCrossbar(payoff, intervals, 0, 2, cfg,
+                                                   16, 256, rng));
+    } else {
+      xbar::CrossbarMapping map(payoff, intervals);
+      benchmark::DoNotOptimize(
+          xbar::ProgrammedCrossbar(std::move(map), cfg, rng));
+    }
   }
 }
-BENCHMARK(BM_CrossbarProgramming)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CrossbarProgramming)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- simd:: kernel layer, SIMD-vs-scalar axis -------------------------------
 // Arg(0/1/2) selects the forced ISA level (scalar/avx2/avx512); levels the
@@ -253,6 +277,23 @@ void BM_SimdOffCellExp10(benchmark::State& state) {
   leave_level();
 }
 BENCHMARK(BM_SimdOffCellExp10)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_SimdOnCell(benchmark::State& state) {
+  if (!enter_level(state, state.range(0))) return;
+  constexpr std::size_t n = 256;
+  util::Rng rng(24);
+  std::vector<double> zv(n), zr(n), sum(n, 0.0);
+  for (auto& v : zv) v = rng.uniform(-3.0, 3.0);
+  for (auto& v : zr) v = rng.uniform(-3.0, 3.0);
+  const simd::OnCellParams p{1e-5, -2e-5, -1e-9, 0.03, 0.05, 1e4, 1.0, 0.0};
+  for (auto _ : state) {
+    simd::on_cell_accumulate(sum.data(), zv.data(), zr.data(), nullptr, n, p);
+    benchmark::DoNotOptimize(sum.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  leave_level();
+}
+BENCHMARK(BM_SimdOnCell)->Arg(0)->Arg(1)->Arg(2);
 
 // ---- Replica-exchange ensemble ----------------------------------------------
 // One ensemble of opts.replicas lockstep replicas x 200 iterations; items/s is

@@ -21,7 +21,9 @@ TiledCrossbar::TiledCrossbar(const la::Matrix& payoff, std::uint32_t intervals,
 
   // Program the grid row-major; every tile maps its element sub-range with
   // the GLOBAL cells-per-element so block geometry is uniform across tiles
-  // (and a 1×1 grid is byte-for-byte the monolithic array).
+  // (and a 1×1 grid is byte-for-byte the monolithic array). The device
+  // calibration depends on the config alone, so all tiles share one.
+  const xbar::CellCalibration calibration(config);
   tiles_.reserve(part_.num_tiles());
   ranges_.reserve(part_.num_tiles());
   for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
@@ -34,7 +36,7 @@ TiledCrossbar::TiledCrossbar(const la::Matrix& payoff, std::uint32_t intervals,
           sub(i - r.i0, j - r.j0) = payoff(i, j);
       xbar::CrossbarMapping map(sub, intervals, g.cells_per_element,
                                 levels_per_cell);
-      tiles_.emplace_back(std::move(map), config, rng);
+      tiles_.emplace_back(std::move(map), config, calibration, rng);
     }
   }
 

@@ -133,8 +133,9 @@ double max_value(const double* x, std::size_t n) {
 }
 
 void fill_normals(util::Rng& rng, double* out, std::size_t n) {
-  // Draw raw uniforms serially (the generator is inherently sequential),
-  // then hand whole chunks of pairs to the vectorized Box-Muller kernel.
+  // Draw raw uniforms serially in one bulk call (the generator is inherently
+  // sequential), then hand whole chunks of pairs to the vectorized Box-Muller
+  // kernel.
   constexpr std::size_t kPairChunk = 128;
   std::uint64_t raw[2 * kPairChunk];
   double vals[2 * kPairChunk];
@@ -143,7 +144,7 @@ void fill_normals(util::Rng& rng, double* out, std::size_t n) {
   while (produced < n) {
     const std::size_t want = n - produced;
     const std::size_t pairs = std::min(kPairChunk, (want + 1) / 2);
-    for (std::size_t t = 0; t < 2 * pairs; ++t) raw[t] = rng();
+    rng.fill(raw, 2 * pairs);
     k.normal_pairs(raw, vals, pairs);
     const std::size_t take = std::min(want, 2 * pairs);
     std::copy_n(vals, take, out + produced);

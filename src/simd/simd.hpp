@@ -78,10 +78,18 @@ double max_value(const double* x, std::size_t n);
 
 /// Fills out[0..n) with standard normals via batched Box-Muller on its own
 /// polynomial log/sin/cos (bit-identical at every level — unlike libm).
-/// Consumes exactly 2*ceil(n/2) raw 64-bit draws from `rng`, in order.
+/// Consumes exactly normal_draws(n) raw 64-bit draws from `rng`, in order;
+/// normal k comes from the draw pair k/2 alone, so out[0..n) is a prefix of
+/// what any longer fill from the same state would produce.
 /// NOTE: this is a different (but equally exact) variate stream than repeated
 /// util::Rng::normal() calls.
 void fill_normals(util::Rng& rng, double* out, std::size_t n);
+
+/// Raw draws fill_normals consumes for n normals: 2*ceil(n/2).
+constexpr std::size_t normal_draws(std::size_t n) { return 2 * ((n + 1) / 2); }
+
+// The cell kernels below require `sum` not to overlap any of their input
+// arrays (zv, zr, zm); the inputs may overlap each other.
 
 /// sum[i] += i_off0 * 10^(c * zv[i]) — OFF-cell subthreshold leakage of a
 /// batch of cells with V_TH offsets sigma_vth*zv (c folds sigma and slope).

@@ -7,6 +7,7 @@
 // reproducible from a single 64-bit seed.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace cnash::util {
@@ -25,6 +26,13 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
 
   result_type operator()();
+
+  /// Writes the next n raw draws to out[0..n): exactly the values, and the
+  /// final state, of n operator() calls, with the state kept in registers.
+  void fill(result_type* out, std::size_t n);
+  /// Advances the generator past the next n raw draws, as n discarded
+  /// operator() calls would.
+  void discard(std::uint64_t n);
 
   /// Uniform double in [0, 1).
   double uniform();

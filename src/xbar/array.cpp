@@ -8,68 +8,66 @@
 
 namespace cnash::xbar {
 
+CellCalibration::CellCalibration(const ArrayConfig& cfg) {
+  const double r_nominal = cfg.variability.r_nominal;
+  auto on_current = [&](double dvth, double r) {
+    const fefet::Cell1T1R cell(true, {dvth, r}, cfg.fet);
+    return cell.read(true, true, cfg.bias);
+  };
+  // Central differences over ±1σ. A zero sigma never moves the cell, so its
+  // sensitivity is zero; 0/0 would make every sampled ON current NaN, which
+  // the kernels' clamp turns into zero.
+  const double dv = cfg.variability.sigma_vth;
+  const double dr = cfg.variability.sigma_r_rel * r_nominal;
+  i_on = on_current(0.0, r_nominal);
+  don_dvth = dv != 0.0 ? (on_current(dv, r_nominal) -
+                          on_current(-dv, r_nominal)) / (2 * dv)
+                       : 0.0;
+  don_dr = dr != 0.0 ? (on_current(0.0, r_nominal + dr) -
+                        on_current(0.0, r_nominal - dr)) / (2 * dr)
+                     : 0.0;
+  // Leakage current of a stored-'0' cell under full bias (nominal device).
+  const fefet::Cell1T1R off_cell(/*stored_one=*/false, {0.0, r_nominal},
+                                 cfg.fet);
+  i_off = off_cell.read(true, true, cfg.bias);
+  // Subthreshold conduction falls one decade per `subthreshold_swing`
+  // volts of V_TH increase.
+  off_decade_per_v = 1.0 / cfg.fet.subthreshold_swing;
+}
+
 namespace {
 
-/// Calibrated response surface for fast per-cell current sampling.
-struct FastCellModel {
-  double i_on0, don_dvth, don_dr;  // ON current + sensitivities
-  double i_off0, off_decade_per_v;  // OFF current + subthreshold slope
-  double r_nominal;
+/// Linearised ON current of one sampled cell (clamped at zero).
+double fast_on(const CellCalibration& cal, const fefet::CellSample& s,
+               double r_nominal) {
+  return std::max(0.0, cal.i_on + cal.don_dvth * s.vth_offset +
+                           cal.don_dr * (s.resistance - r_nominal));
+}
 
-  static FastCellModel calibrate(const ArrayConfig& cfg) {
-    FastCellModel m;
-    m.r_nominal = cfg.variability.r_nominal;
-    auto on_current = [&](double dvth, double r) {
-      const fefet::Cell1T1R cell(true, {dvth, r}, cfg.fet);
-      return cell.read(true, true, cfg.bias);
-    };
-    const double dv = cfg.variability.sigma_vth;
-    const double dr = cfg.variability.sigma_r_rel * m.r_nominal;
-    m.i_on0 = on_current(0.0, m.r_nominal);
-    m.don_dvth =
-        (on_current(dv, m.r_nominal) - on_current(-dv, m.r_nominal)) / (2 * dv);
-    m.don_dr = (on_current(0.0, m.r_nominal + dr) -
-                on_current(0.0, m.r_nominal - dr)) /
-               (2 * dr);
-    const fefet::Cell1T1R off_cell(false, {0.0, m.r_nominal}, cfg.fet);
-    m.i_off0 = off_cell.read(true, true, cfg.bias);
-    // Subthreshold conduction falls one decade per `subthreshold_swing`
-    // volts of V_TH increase.
-    m.off_decade_per_v = 1.0 / cfg.fet.subthreshold_swing;
-    return m;
-  }
-
-  double on(const fefet::CellSample& s) const {
-    return std::max(0.0, i_on0 + don_dvth * s.vth_offset +
-                             don_dr * (s.resistance - r_nominal));
-  }
-  double off(const fefet::CellSample& s) const {
-    return i_off0 * std::pow(10.0, -s.vth_offset * off_decade_per_v);
-  }
-};
+/// Exact exponential subthreshold leakage of one sampled OFF cell.
+double fast_off(const CellCalibration& cal, const fefet::CellSample& s) {
+  return cal.i_off * std::pow(10.0, -s.vth_offset * cal.off_decade_per_v);
+}
 
 }  // namespace
 
 ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
                                        const ArrayConfig& config,
                                        util::Rng& rng)
-    : mapping_(std::move(mapping)), config_(config) {
-  i_on_nominal_ =
-      fefet::nominal_on_current(config_.fet, config_.variability, config_.bias);
+    : ProgrammedCrossbar(std::move(mapping), config, CellCalibration(config),
+                         rng) {}
+
+ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
+                                       const ArrayConfig& config,
+                                       const CellCalibration& cal,
+                                       util::Rng& rng)
+    : mapping_(std::move(mapping)), config_(config), i_on_nominal_(cal.i_on) {
   const auto& g = mapping_.geometry();
   const std::uint32_t intervals = g.intervals;
   const std::uint32_t t = g.cells_per_element;
   const std::uint32_t per_cell = g.levels_per_cell - 1;
   table_dim_ = intervals + 1;
   block_stride_ = table_dim_ * table_dim_;
-
-  const FastCellModel fast = FastCellModel::calibrate(config_);
-
-  // Leakage current of a stored-'0' cell under full bias (nominal device).
-  const fefet::Cell1T1R off_cell(/*stored_one=*/false,
-                                 {0.0, config_.variability.r_nominal},
-                                 config_.fet);
-  const double i_off_nominal = off_cell.read(true, true, config_.bias);
 
   prefix_.assign(g.n * g.m * block_stride_, 0.0);
 
@@ -86,12 +84,13 @@ ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
                        config_.stuck_on_rate == 0.0;
   const std::size_t bundles =
       static_cast<std::size_t>(intervals) * intervals;
+  const std::size_t cells = bundles * t;
   const fefet::VariabilityParams& var = config_.variability;
   std::vector<double> zv, zr, zm, bundle_sum;
   std::vector<std::uint32_t> levels(t);
   if (batched) {
-    zv.resize(bundles * t);
-    zr.resize(bundles * t);
+    zv.resize(cells);
+    zr.resize(cells);
     bundle_sum.resize(bundles);
   }
 
@@ -101,16 +100,29 @@ ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
       const std::uint32_t value = mapping_.element(i, j);
       if (batched) {
         bool need_mlc = false;
+        std::size_t on_planes = 0;  // planes up to the last ON one
         for (std::uint32_t k = 0; k < t; ++k) {
           levels[k] = mapping_.cell_level(value, k);
+          if (levels[k] > 0) on_planes = k + 1;
           if (var.sigma_mlc_rel > 0.0 && levels[k] > 0 && levels[k] < per_cell)
             need_mlc = true;
         }
-        simd::fill_normals(rng, zv.data(), bundles * t);
-        simd::fill_normals(rng, zr.data(), bundles * t);
+        simd::fill_normals(rng, zv.data(), cells);
+        // Only ON planes read zr and zm, so transform each plane-major stream
+        // up to the last ON plane and step the generator over the rest. Every
+        // normal read and the generator's end state are those of a full
+        // fill; as cell_level fills a block's cells in order, no OFF plane
+        // is transformed.
+        const std::size_t on_cells = on_planes * bundles;
+        const auto fill_on_prefix = [&](double* z) {
+          simd::fill_normals(rng, z, on_cells);
+          rng.discard(simd::normal_draws(cells) -
+                      simd::normal_draws(on_cells));
+        };
+        fill_on_prefix(zr.data());
         if (need_mlc) {
-          zm.resize(bundles * t);
-          simd::fill_normals(rng, zm.data(), bundles * t);
+          zm.resize(cells);
+          fill_on_prefix(zm.data());
         }
         std::fill(bundle_sum.begin(), bundle_sum.end(), 0.0);
         for (std::uint32_t k = 0; k < t; ++k) {
@@ -121,8 +133,8 @@ ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
           const double* zrk = zr.data() + k * bundles;
           if (level == 0) {
             simd::off_cell_accumulate(bundle_sum.data(), zvk, bundles,
-                                      fast.i_off0,
-                                      -var.sigma_vth * fast.off_decade_per_v);
+                                      cal.i_off,
+                                      -var.sigma_vth * cal.off_decade_per_v);
           } else if (level == per_cell && !config_.fast_sampling) {
             // Full-ON binary state: exact series KCL solve per cell, on the
             // same deviates the fast path would use.
@@ -141,10 +153,10 @@ ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
             // peaks at mid level and vanishes at full ON.
             const double mlc_sigma =
                 var.sigma_mlc_rel * 4.0 * frac * (1.0 - frac);
-            const simd::OnCellParams p{fast.i_on0,    fast.don_dvth,
-                                       fast.don_dr,   var.sigma_vth,
+            const simd::OnCellParams p{cal.i_on,        cal.don_dvth,
+                                       cal.don_dr,      var.sigma_vth,
                                        var.sigma_r_rel, var.r_nominal,
-                                       frac,          mlc_sigma};
+                                       frac,            mlc_sigma};
             simd::on_cell_accumulate(
                 bundle_sum.data(), zvk, zrk,
                 mlc_sigma > 0.0 ? zm.data() + k * bundles : nullptr, bundles,
@@ -180,13 +192,13 @@ ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
               continue;
             }
             if (config_.ideal) {
-              cell_sum += level > 0 ? frac * i_on_nominal_ : i_off_nominal;
+              cell_sum += level > 0 ? frac * i_on_nominal_ : cal.i_off;
               continue;
             }
             const fefet::CellSample s =
                 fefet::sample_cell(config_.variability, rng);
             if (level == 0) {
-              cell_sum += fast.off(s);
+              cell_sum += fast_off(cal, s);
             } else if (level == per_cell && !config_.fast_sampling) {
               // Full-ON binary state: exact series KCL solve available.
               const fefet::Cell1T1R cell(true, s, config_.fet);
@@ -195,7 +207,7 @@ ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
               // Full-ON (fast) or intermediate MLC state: clamped ON current
               // scaled to the level, with the partial-polarization spread
               // that peaks at mid level and vanishes at full ON.
-              double i = frac * fast.on(s);
+              double i = frac * fast_on(cal, s, var.r_nominal);
               const double mlc_sigma = config_.variability.sigma_mlc_rel *
                                        4.0 * frac * (1.0 - frac);
               if (mlc_sigma > 0.0) i *= 1.0 + rng.normal(0.0, mlc_sigma);

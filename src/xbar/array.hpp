@@ -52,10 +52,29 @@ struct ArrayConfig {
   double stuck_on_rate = 0.0;
 };
 
+/// The variability-free device numbers programming derives from an
+/// ArrayConfig alone: the nominal ON and OFF cell reads and the calibrated
+/// response surface of fast sampling. Calibrating costs several series-KCL
+/// solves, so a tiled chip calibrates once and hands the result to every
+/// tile.
+struct CellCalibration {
+  explicit CellCalibration(const ArrayConfig& config);
+
+  double i_on;      // nominal full-ON cell current
+  double i_off;     // nominal stored-'0' leakage under full bias
+  double don_dvth;  // ON-current sensitivity to ΔV_TH (0 when sigma_vth = 0)
+  double don_dr;    // ON-current sensitivity to ΔR (0 when sigma_r_rel = 0)
+  double off_decade_per_v;  // subthreshold leakage decades per volt of ΔV_TH
+};
+
 class ProgrammedCrossbar {
  public:
   ProgrammedCrossbar(CrossbarMapping mapping, const ArrayConfig& config,
                      util::Rng& rng);
+  /// Same array from a calibration of `config` made beforehand; programs
+  /// bit-identically and consumes the same draws.
+  ProgrammedCrossbar(CrossbarMapping mapping, const ArrayConfig& config,
+                     const CellCalibration& calibration, util::Rng& rng);
 
   const CrossbarMapping& mapping() const { return mapping_; }
   const ArrayConfig& config() const { return config_; }

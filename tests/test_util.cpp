@@ -126,6 +126,36 @@ TEST(Rng, KeyedSplitDependsOnParentState) {
   EXPECT_LT(same, 2);
 }
 
+// The bulk paths stand in for repeated operator() calls: crossbar
+// programming relies on them to consume exactly the draws it always did.
+// The cached Box-Muller normal is state too, and neither path touches it.
+TEST(Rng, FillMatchesRepeatedDraws) {
+  for (const std::size_t n : {0, 1, 7, 64, 1001}) {
+    Rng bulk(31), serial(31);
+    bulk.normal();
+    serial.normal();
+    constexpr std::uint64_t kSentinel = 0x5e5e5e5e5e5e5e5eULL;
+    std::vector<std::uint64_t> out(n + 1, kSentinel);
+    bulk.fill(out.data(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], serial()) << i;
+    EXPECT_EQ(out[n], kSentinel) << "n=" << n;
+    EXPECT_EQ(bulk.normal(), serial.normal()) << "n=" << n;
+    for (int i = 0; i < 16; ++i) EXPECT_EQ(bulk(), serial()) << "n=" << n;
+  }
+}
+
+TEST(Rng, DiscardMatchesRepeatedDraws) {
+  for (const std::uint64_t n : {0, 1, 7, 64, 1001}) {
+    Rng skip(32), serial(32);
+    skip.normal();
+    serial.normal();
+    skip.discard(n);
+    for (std::uint64_t i = 0; i < n; ++i) serial();
+    EXPECT_EQ(skip.normal(), serial.normal()) << "n=" << n;
+    for (int i = 0; i < 16; ++i) EXPECT_EQ(skip(), serial()) << "n=" << n;
+  }
+}
+
 TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <utility>
 
+#include "chip/tiled_two_phase.hpp"
+#include "game/game.hpp"
+#include "game/strategy.hpp"
 #include "util/rng.hpp"
 #include "xbar/adc.hpp"
 #include "xbar/array.hpp"
@@ -139,6 +146,27 @@ TEST(Array, FastAndExactSamplingStatisticallyClose) {
               0.01 * exact.read_vmv(rows, groups));
 }
 
+TEST(Array, ZeroSigmaKeepsOnCellsConducting) {
+  // A zero variability sigma programs that parameter at its nominal value; it
+  // must not turn the ON-current sensitivity into 0/0 and zero every ON cell.
+  const std::uint32_t I = 4;
+  const std::vector<std::uint32_t> full{I, I};
+  const double conducting = static_cast<double>(
+      CrossbarMapping(small_payoff(), I).conducting_cells(full, full));
+  const std::pair<double, double> sigmas[] = {
+      {0.0, 0.08}, {0.04, 0.0}, {0.0, 0.0}};
+  for (const auto& [sigma_vth, sigma_r_rel] : sigmas) {
+    ArrayConfig cfg;
+    cfg.variability.sigma_vth = sigma_vth;
+    cfg.variability.sigma_r_rel = sigma_r_rel;
+    util::Rng rng(11);
+    const ProgrammedCrossbar xb(CrossbarMapping(small_payoff(), I), cfg, rng);
+    const double expected = conducting * xb.nominal_on_current();
+    EXPECT_NEAR(xb.read_vmv(full, full), expected, 0.05 * expected)
+        << "sigma_vth=" << sigma_vth << " sigma_r_rel=" << sigma_r_rel;
+  }
+}
+
 TEST(Array, ZeroActivationZeroOnCurrent) {
   CrossbarMapping map(small_payoff(), 4);
   ArrayConfig cfg;
@@ -157,6 +185,167 @@ TEST(Array, BadActivationThrows) {
   const ProgrammedCrossbar xb(std::move(map), cfg, rng);
   EXPECT_THROW(xb.read_vmv({5, 0}, {0, 0}), std::invalid_argument);
   EXPECT_THROW(xb.read_vmv({1}, {0, 0}), std::invalid_argument);
+}
+
+// ---- Pinned programmed currents ----------------------------------------------
+// Programming is a pure function of the mapping, the ArrayConfig and the
+// generator. These cases pin the exact bits a fixed seed programs and the
+// generator's next draw afterwards, so a faster programming path must sample
+// every cell current exactly as before and consume the same draws. At odd I
+// a block's I² bundles are odd, so one Box-Muller pair straddles two cell
+// planes.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+std::string hex_list(const std::vector<std::uint64_t>& v) {
+  std::ostringstream os;
+  os << std::hex << "{";
+  for (std::size_t i = 0; i < v.size(); ++i)
+    os << (i % 3 == 0 ? "\n    " : " ") << "0x" << v[i] << "ULL,";
+  os << "}";
+  return os.str();
+}
+
+enum class Sampling { kFast, kExactOn, kFaults };
+
+struct PinCase {
+  std::uint32_t intervals;
+  std::uint32_t levels;
+  Sampling sampling;
+  std::vector<std::uint64_t> expected;
+};
+
+/// read_vmv at three activations, read_mv at two, then the next draw.
+std::vector<std::uint64_t> program_and_read(const PinCase& c) {
+  // Binary cells code 7 in t = 7 cells; 4-level cells use t = 3 cells, and
+  // every non-multiple of 3 leaves one intermediate-level plane.
+  const la::Matrix payoff{{7, 0, 3, 5}, {1, 6, 0, 2}, {4, 7, 2, 0}};
+  ArrayConfig cfg;
+  cfg.fast_sampling = c.sampling != Sampling::kExactOn;
+  if (c.sampling == Sampling::kFaults) {
+    cfg.stuck_off_rate = 0.05;
+    cfg.stuck_on_rate = 0.02;
+  }
+  util::Rng rng(1000 + 10 * c.intervals + c.levels);
+  const ProgrammedCrossbar xb(CrossbarMapping(payoff, c.intervals, 0, c.levels),
+                              cfg, rng);
+  const std::uint32_t I = c.intervals, h = I / 2;
+  const std::vector<std::vector<std::uint32_t>> rows{
+      {I, I, I}, {1, h, I}, {I, 0, 2}};
+  const std::vector<std::vector<std::uint32_t>> groups{
+      {I, I, I, I}, {I, 0, I - 1, 2}, {1, I, h, I}};
+  std::vector<std::uint64_t> out;
+  for (std::size_t k = 0; k < rows.size(); ++k)
+    out.push_back(bits(xb.read_vmv(rows[k], groups[k])));
+  for (std::size_t k = 0; k < 2; ++k)
+    for (const double x : xb.read_mv(groups[k])) out.push_back(bits(x));
+  out.push_back(rng());
+  return out;
+}
+
+TEST(ArrayPin, ProgrammedCurrentsAndDrawsArePinned) {
+  const PinCase cases[] = {
+      {3, 2, Sampling::kFast,
+       {0x3f3128164312b094ULL, 0x3f132ea7b50e37e8ULL, 0x3f1a7f4361057c11ULL,
+        0x3f1bc68e008e1743ULL, 0x3f1088d9c870a3aeULL, 0x3f1850f1434c075dULL,
+        0x3f16db301f5bac1fULL, 0x3ef10f925c140992ULL, 0x3f0439dc5c8ecab5ULL,
+        0x5ca1c42efb6e90d5ULL}},
+      {5, 2, Sampling::kFast,
+       {0x3f477814043c23fbULL, 0x3f25bdee7f6c1882ULL, 0x3f2c23230a78f198ULL,
+        0x3f331a348756b2e7ULL, 0x3f26b3551a9523a9ULL, 0x3f307c48f3d70339ULL,
+        0x3f2cedb3aaa3ef5cULL, 0x3f020e607b6ac752ULL, 0x3f1c3662a898b8e4ULL,
+        0xfb5c5d815c43c94eULL}},
+      {7, 2, Sampling::kFast,
+       {0x3f570817777cb818ULL, 0x3f33eb1aba038c1fULL, 0x3f38161de8896dd8ULL,
+        0x3f42b51d70214f7eULL, 0x3f3672cbd7101477ULL, 0x3f4021ab93501677ULL,
+        0x3f3b6862159cc346ULL, 0x3f0fbfbdb3cca0ecULL, 0x3f2ca25c8c91fb55ULL,
+        0x56fa49d372a7b126ULL}},
+      {12, 2, Sampling::kFast,
+       {0x3f70ee5ded16b3afULL, 0x3f4b01a1e2fbb0f0ULL, 0x3f4f1025e3b770deULL,
+        0x3f5b64ebf44b5a78ULL, 0x3f50794500a86d9cULL, 0x3f57db46bf6706a8ULL,
+        0x3f534e3671adbcccULL, 0x3f238fbd18c847e2ULL, 0x3f455272b73da36cULL,
+        0x913f0f9d5bbc78ULL}},
+      {3, 4, Sampling::kFast,
+       {0x3f16def1fe5a3d45ULL, 0x3ef903976aa4e3f0ULL, 0x3f016edb2a6ad641ULL,
+        0x3f027c3f6b22d0a4ULL, 0x3ef68c276a53b814ULL, 0x3efff721b8cf9bb6ULL,
+        0x3efe5ed475f73760ULL, 0x3ed6756971395ba2ULL, 0x3eea1f2c11bcb417ULL,
+        0xdd18782a04314136ULL}},
+      {5, 4, Sampling::kFast,
+       {0x3f2f667464ed6330ULL, 0x3f0ce141b845267bULL, 0x3f12db0845512660ULL,
+        0x3f1976618c320d5aULL, 0x3f0ebc98e1279a7cULL, 0x3f15f83acd14ebc5ULL,
+        0x3f13561bb12eca43ULL, 0x3ee8a8a31c32052dULL, 0x3f02f03c52d8a621ULL,
+        0xdac06c2dd577b43fULL}},
+      {7, 4, Sampling::kFast,
+       {0x3f3ecfd3a8060300ULL, 0x3f1a5b2fa2cab50bULL, 0x3f2039b0b3610e9cULL,
+        0x3f2915f8f6d1b509ULL, 0x3f1da191f59fd921ULL, 0x3f25b8e55e6a6469ULL,
+        0x3f22546fdf014f83ULL, 0x3ef4ea991cb1e96bULL, 0x3f12f083a5f8b9b3ULL,
+        0xc4fb0c5ed23b8974ULL}},
+      {12, 4, Sampling::kFast,
+       {0x3f56a6a650f46ec6ULL, 0x3f3204e8549aca29ULL, 0x3f34b96672035384ULL,
+        0x3f425e2be591b909ULL, 0x3f361731fe977b7eULL, 0x3f3fc70f7a16cd87ULL,
+        0x3f39e45758164446ULL, 0x3f0a3cdcf0421946ULL, 0x3f2c7246f914869cULL,
+        0xc798c8e7bb7d974aULL}},
+      {5, 2, Sampling::kExactOn,
+       {0x3f4789661b16614cULL, 0x3f25cd21fdd5b1a6ULL, 0x3f2c35d64724582dULL,
+        0x3f3328ad2c2841a6ULL, 0x3f26c87cc2eb763cULL, 0x3f3085e0a88ec5d4ULL,
+        0x3f2d030645e7c4edULL, 0x3f021f14f7ec914aULL, 0x3f1c4c27fc78f5f0ULL,
+        0xfb5c5d815c43c94eULL}},
+      {3, 2, Sampling::kFaults,
+       {0x3f309cc1d24d38dbULL, 0x3f128f160c0df85aULL, 0x3f19829601581055ULL,
+        0x3f19f7df16160ac2ULL, 0x3f11141a785f82c2ULL, 0x3f17670dbabf55e9ULL,
+        0x3f151abb7247c2ecULL, 0x3ef45622de847f32ULL, 0x3f03e514dfba6644ULL,
+        0x9783e286a71907faULL}},
+  };
+  for (const PinCase& c : cases) {
+    const std::vector<std::uint64_t> got = program_and_read(c);
+    EXPECT_EQ(got, c.expected)
+        << "I=" << c.intervals << " levels=" << c.levels
+        << " sampling=" << static_cast<int>(c.sampling) << "\n  got "
+        << hex_list(got);
+  }
+}
+
+TEST(ArrayPin, MultiTileChipCurrentsArePinned) {
+  // A 5×6 game at I = 5 on 10×70 tiles: 2×2 element blocks per tile, so both
+  // arrays shard over 3×3 grids programmed tile after tile from one stream.
+  const la::Matrix m{{7, 2, 0, 5, 1, 3},
+                     {0, 6, 4, 2, 7, 1},
+                     {3, 3, 5, 0, 2, 6},
+                     {1, 7, 2, 4, 0, 5},
+                     {6, 0, 1, 3, 5, 2}};
+  const la::Matrix n{{2, 5, 1, 0, 6, 3},
+                     {4, 0, 6, 2, 1, 5},
+                     {1, 3, 0, 6, 4, 2},
+                     {5, 2, 4, 1, 3, 0},
+                     {0, 6, 3, 5, 2, 1}};
+  const std::uint32_t I = 5;
+  chip::TiledTwoPhaseEvaluator ev(game::BimatrixGame(m, n), I,
+                                  core::TwoPhaseConfig{},
+                                  chip::ChipConfig{10, 70}, util::Rng(77));
+  ASSERT_EQ(ev.chip_m().partition().num_tiles(), 9u);
+  ASSERT_EQ(ev.chip_nt().partition().num_tiles(), 9u);
+  const std::vector<std::uint32_t> p{1, 0, 2, 1, 1}, q{0, 2, 1, 0, 1, 1};
+  std::vector<double> vmv(9);
+  std::vector<std::uint64_t> got;
+  ev.chip_m().read_vmv_partials(p.data(), q.data(), vmv.data());
+  for (const double x : vmv) got.push_back(bits(x));
+  ev.chip_nt().read_vmv_partials(q.data(), p.data(), vmv.data());
+  for (const double x : vmv) got.push_back(bits(x));
+  got.push_back(bits(ev.evaluate(
+      {game::QuantizedStrategy(p, I), game::QuantizedStrategy(q, I)})));
+  got.push_back(bits(
+      ev.evaluate({game::QuantizedStrategy({0, 0, 5, 0, 0}, I),
+                   game::QuantizedStrategy({1, 1, 1, 1, 1, 0}, I)})));
+  const std::vector<std::uint64_t> expected{
+      0x3ec9058804cebd44ULL, 0x3db0bf0e14a4f9c7ULL, 0x3ec9928c10cfdb2cULL,
+      0x3ef55439c9325238ULL, 0x3ee45707d30f0036ULL, 0x3ef11b4e1bd53354ULL,
+      0x3dbb66bc90deec1aULL, 0x3eaa1c01b95ee859ULL, 0x3ed71b019b090ee0ULL,
+      0x3ee07ce9b67fecfeULL, 0x3eea74520c5e0b73ULL, 0x3ee2d3459e2e22b0ULL,
+      0x3ea979c5a6b4317fULL, 0x3ec8feaabf6bbfd2ULL, 0x3ec36f6b90e46198ULL,
+      0x3ede3b2616e5a61dULL, 0x3ee8cb441d88f23dULL, 0x3ec40d7f21b7acc1ULL,
+      0x4005673333333334ULL, 0x4011c2cccccccccdULL,
+  };
+  EXPECT_EQ(got, expected) << "got " << hex_list(got);
 }
 
 TEST(Adc, QuantizeReconstructWithinLsb) {
