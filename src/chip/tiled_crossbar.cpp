@@ -108,15 +108,7 @@ void TiledCrossbar::read_mv_partials(const std::uint32_t* groups_active,
 }
 
 void TiledCrossbar::mv_group_delta(std::size_t j, std::uint32_t g_old,
-                                   std::uint32_t g_new,
-                                   double* partials) const {
-  // The affected tile column's slice is just the aggregate kernel rebased.
-  mv_group_delta_total(j, g_old, g_new, partials + part_.tile_of_col(j) * n());
-}
-
-void TiledCrossbar::mv_group_delta_total(std::size_t j, std::uint32_t g_old,
-                                         std::uint32_t g_new,
-                                         double* total) const {
+                                   std::uint32_t g_new, double* total) const {
   // Tile column tile_of_col(j), top to bottom: grid row-major stride.
   const std::size_t gc = part_.grid_cols();
   for (std::size_t t = part_.tile_of_col(j); t < tiles_.size(); t += gc) {
@@ -143,35 +135,29 @@ void TiledCrossbar::read_vmv_partials(const std::uint32_t* rows_active,
 
 double TiledCrossbar::vmv_row_delta(std::size_t i, std::uint32_t r_old,
                                     std::uint32_t r_new,
-                                    const std::uint32_t* groups_active,
-                                    double* vmv_cells) const {
+                                    const std::uint32_t* groups_active) const {
   // Tile row tile_of_row(i), left to right.
   const std::size_t first = part_.tile_of_row(i) * part_.grid_cols();
   double total = 0.0;
   for (std::size_t t = first; t < first + part_.grid_cols(); ++t) {
     if (dead_at(t)) continue;
     const TileRange& r = ranges_[t];
-    const double d =
+    total +=
         tiles_[t].vmv_row_delta(i - r.i0, r_old, r_new, groups_active + r.j0);
-    if (vmv_cells) vmv_cells[t] += d;
-    total += d;
   }
   return total;
 }
 
 double TiledCrossbar::vmv_group_delta(std::size_t j, std::uint32_t g_old,
                                       std::uint32_t g_new,
-                                      const std::uint32_t* rows_active,
-                                      double* vmv_cells) const {
+                                      const std::uint32_t* rows_active) const {
   const std::size_t gc = part_.grid_cols();
   double total = 0.0;
   for (std::size_t t = part_.tile_of_col(j); t < tiles_.size(); t += gc) {
     if (dead_at(t)) continue;
     const TileRange& r = ranges_[t];
-    const double d = tiles_[t].vmv_group_delta(j - r.j0, g_old, g_new,
-                                               rows_active + r.i0);
-    if (vmv_cells) vmv_cells[t] += d;
-    total += d;
+    total += tiles_[t].vmv_group_delta(j - r.j0, g_old, g_new,
+                                       rows_active + r.i0);
   }
   return total;
 }

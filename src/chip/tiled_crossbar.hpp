@@ -17,10 +17,11 @@
 //     the whole grid.
 //
 // Delta kernels route a single activation tick to the affected tile row /
-// column only: a column-group tick touches one tile column (O(n) work over
-// its row slices), a word-line tick touches one tile row (O(m) work over its
-// column slices) — the same asymptotics as the monolithic kernels, with the
-// work confined to 1/grid of the cell tables.
+// column only and apply it to the H-tree outputs (the aggregated line
+// currents, the grid total): a column-group tick touches one tile column
+// (O(n) work over its row slices), a word-line tick touches one tile row
+// (O(m) work over its column slices) — the same asymptotics as the
+// monolithic kernels, with the work confined to 1/grid of the cell tables.
 //
 // All activation inputs are GLOBAL count vectors; tiles slice them in place
 // via the raw-pointer crossbar kernels (no per-call copies).
@@ -92,15 +93,10 @@ class TiledCrossbar {
                         double* partials) const;
 
   /// Routes a column-group tick (j: g_old -> g_new) to tile column
-  /// tile_of_col(j): adds the per-row current deltas into that column's
-  /// slice of `partials`. O(n).
+  /// tile_of_col(j): adds the per-row current deltas into the AGGREGATED
+  /// line-current vector `total[0..n)` (the H-tree output). O(n).
   void mv_group_delta(std::size_t j, std::uint32_t g_old, std::uint32_t g_new,
-                      double* partials) const;
-
-  /// Same deltas applied to the AGGREGATED line-current vector `total[0..n)`
-  /// (the H-tree output) instead of a tile-column slice. O(n).
-  void mv_group_delta_total(std::size_t j, std::uint32_t g_old,
-                            std::uint32_t g_new, double* total) const;
+                      double* total) const;
 
   /// Per-tile partial VMV read: vmv[tr * grid_cols + tc].
   void read_vmv_partials(const std::uint32_t* rows_active,
@@ -108,18 +104,16 @@ class TiledCrossbar {
                          double* vmv) const;
 
   /// VMV change of a word-line tick (row i: r_old -> r_new) under the global
-  /// `groups_active`. Touches tile row tile_of_row(i) only; when `vmv_cells`
-  /// is non-null the per-tile deltas are also added into the partial grid.
-  /// Returns the summed delta. O(m).
+  /// `groups_active`, summed over tile row tile_of_row(i), the only one it
+  /// touches. O(m).
   double vmv_row_delta(std::size_t i, std::uint32_t r_old, std::uint32_t r_new,
-                       const std::uint32_t* groups_active,
-                       double* vmv_cells) const;
+                       const std::uint32_t* groups_active) const;
 
   /// VMV change of a column-group tick under the global `rows_active`;
   /// touches tile column tile_of_col(j) only. O(n).
   double vmv_group_delta(std::size_t j, std::uint32_t g_old,
-                         std::uint32_t g_new, const std::uint32_t* rows_active,
-                         double* vmv_cells) const;
+                         std::uint32_t g_new,
+                         const std::uint32_t* rows_active) const;
 
   // ---- Shared conversions ---------------------------------------------------
 

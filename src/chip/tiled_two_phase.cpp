@@ -59,8 +59,6 @@ TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
       value_scale_(config.value_scale) {
   if (intervals_ == 0)
     throw std::invalid_argument("TiledTwoPhaseEvaluator: I == 0");
-  if (config_.refresh_interval == 0)
-    throw std::invalid_argument("TiledTwoPhaseEvaluator: refresh_interval == 0");
 
   const auto [m_scaled, nt_scaled] = scaled_arrays(game_, value_scale_);
   util::Rng rng_m = rng_.split();
@@ -99,46 +97,33 @@ TiledTwoPhaseEvaluator::TiledTwoPhaseEvaluator(game::BimatrixGame game,
   };
   adc_m_ = make_adc(*chip_m_);
   adc_nt_ = make_adc(*chip_nt_);
-
-  size_state(committed_);
-  size_state(scratch_);
-  size_state(eval_state_);
 }
 
-void TiledTwoPhaseEvaluator::size_state(State& st) const {
-  const std::size_t n = game_.num_actions1();
-  const std::size_t m = game_.num_actions2();
-  st.m.mv_partial.assign(chip_m_->partition().grid_cols() * n, 0.0);
-  st.m.mv_total.assign(n, 0.0);
-  st.m.vmv_partial.assign(chip_m_->partition().num_tiles(), 0.0);
-  st.nt.mv_partial.assign(chip_nt_->partition().grid_cols() * m, 0.0);
-  st.nt.mv_total.assign(m, 0.0);
-  st.nt.vmv_partial.assign(chip_nt_->partition().num_tiles(), 0.0);
-}
-
-void TiledTwoPhaseEvaluator::full_read(
-    State& st, const std::vector<std::uint32_t>& p_counts,
-    const std::vector<std::uint32_t>& q_counts) const {
-  chip_m_->read_mv_partials(q_counts.data(), st.m.mv_partial.data());
-  chip_nt_->read_mv_partials(p_counts.data(), st.nt.mv_partial.data());
-  chip_m_->read_vmv_partials(p_counts.data(), q_counts.data(),
-                             st.m.vmv_partial.data());
-  chip_nt_->read_vmv_partials(q_counts.data(), p_counts.data(),
-                              st.nt.vmv_partial.data());
-  // Aggregate: per-row sums over tile columns, grand total over the grid —
-  // fixed ascending order, so refreshes are reproducible.
-  auto aggregate = [](ArrayState& a, std::size_t rows) {
-    std::fill(a.mv_total.begin(), a.mv_total.end(), 0.0);
-    const std::size_t grid_cols = a.mv_partial.size() / rows;
+void TiledTwoPhaseEvaluator::full_read(State& st) {
+  // The H-tree sums the per-tile partials: per row over the tile columns,
+  // and over the whole grid, in fixed ascending order so refreshes are
+  // reproducible.
+  auto read = [&](const TiledCrossbar& xb,
+                  const std::vector<std::uint32_t>& rows_active,
+                  const std::vector<std::uint32_t>& groups_active,
+                  ArrayState& a) {
+    const std::size_t rows = xb.n();
+    const std::size_t grid_cols = xb.partition().grid_cols();
+    mv_partials_.resize(grid_cols * rows);
+    xb.read_mv_partials(groups_active.data(), mv_partials_.data());
+    a.mv_total.assign(rows, 0.0);
     for (std::size_t tc = 0; tc < grid_cols; ++tc) {
-      const double* col = a.mv_partial.data() + tc * rows;
+      const double* col = mv_partials_.data() + tc * rows;
       for (std::size_t i = 0; i < rows; ++i) a.mv_total[i] += col[i];
     }
+    vmv_partials_.resize(xb.partition().num_tiles());
+    xb.read_vmv_partials(rows_active.data(), groups_active.data(),
+                         vmv_partials_.data());
     a.vmv_total = 0.0;
-    for (const double v : a.vmv_partial) a.vmv_total += v;
+    for (const double v : vmv_partials_) a.vmv_total += v;
   };
-  aggregate(st.m, game_.num_actions1());
-  aggregate(st.nt, game_.num_actions2());
+  read(*chip_m_, st.p_counts, st.q_counts, st.m);
+  read(*chip_nt_, st.q_counts, st.p_counts, st.nt);
 }
 
 double TiledTwoPhaseEvaluator::digitize(const State& st) {
@@ -167,7 +152,9 @@ double TiledTwoPhaseEvaluator::evaluate(const game::QuantizedProfile& profile) {
       profile.q.num_actions() != game_.num_actions2() ||
       profile.p.intervals() != intervals_ || profile.q.intervals() != intervals_)
     throw std::invalid_argument("TiledTwoPhaseEvaluator: profile shape mismatch");
-  full_read(eval_state_, profile.p.counts(), profile.q.counts());
+  eval_state_.p_counts = profile.p.counts();
+  eval_state_.q_counts = profile.q.counts();
+  full_read(eval_state_);
   return digitize(eval_state_);
 }
 
@@ -178,12 +165,9 @@ void TiledTwoPhaseEvaluator::reset(const game::QuantizedProfile& profile) {
       profile.q.num_actions() != game_.num_actions2() ||
       profile.p.intervals() != intervals_ || profile.q.intervals() != intervals_)
     throw std::invalid_argument("TiledTwoPhaseEvaluator::reset: shape mismatch");
-  p_counts_ = profile.p.counts();
-  q_counts_ = profile.q.counts();
-  p_scratch_ = p_counts_;
-  q_scratch_ = q_counts_;
-  full_read(committed_, p_counts_, q_counts_);
-  pending_.clear();
+  committed_.p_counts = profile.p.counts();
+  committed_.q_counts = profile.q.counts();
+  full_read(committed_);
   primed_ = true;
   proposal_outstanding_ = false;
   commits_since_refresh_ = 0;
@@ -191,15 +175,12 @@ void TiledTwoPhaseEvaluator::reset(const game::QuantizedProfile& profile) {
 }
 
 void TiledTwoPhaseEvaluator::apply_move(State& st,
-                                        std::vector<std::uint32_t>& p_counts,
-                                        std::vector<std::uint32_t>& q_counts,
-                                        const core::TickMove& mv,
-                                        bool partials) {
+                                        const core::TickMove& mv) const {
   // A row (p) tick moves a word line of the M array and a column group of
   // Nᵀ; a column (q) tick moves a word line of Nᵀ and a column group of M.
   const bool row = mv.player == core::TickMove::Player::kRow;
-  std::vector<std::uint32_t>& counts = row ? p_counts : q_counts;
-  const std::uint32_t* other = (row ? q_counts : p_counts).data();
+  std::vector<std::uint32_t>& counts = row ? st.p_counts : st.q_counts;
+  const std::uint32_t* other = (row ? st.q_counts : st.p_counts).data();
   const TiledCrossbar& xl = row ? *chip_m_ : *chip_nt_;  // word line moves
   const TiledCrossbar& xg = row ? *chip_nt_ : *chip_m_;  // column group moves
   ArrayState& lines = row ? st.m : st.nt;
@@ -209,22 +190,12 @@ void TiledTwoPhaseEvaluator::apply_move(State& st,
   if (f == 0 || t >= intervals_)
     throw std::logic_error("TiledTwoPhaseEvaluator: invalid tick move");
 
-  if (!partials) {
-    lines.vmv_total += xl.vmv_row_delta(mv.from, f, f - 1, other, nullptr) +
-                       xl.vmv_row_delta(mv.to, t, t + 1, other, nullptr);
-    groups.vmv_total +=
-        xg.vmv_group_delta(mv.from, f, f - 1, other, nullptr) +
-        xg.vmv_group_delta(mv.to, t, t + 1, other, nullptr);
-    xg.mv_group_delta_total(mv.from, f, f - 1, groups.mv_total.data());
-    xg.mv_group_delta_total(mv.to, t, t + 1, groups.mv_total.data());
-  } else {
-    xl.vmv_row_delta(mv.from, f, f - 1, other, lines.vmv_partial.data());
-    xl.vmv_row_delta(mv.to, t, t + 1, other, lines.vmv_partial.data());
-    xg.vmv_group_delta(mv.from, f, f - 1, other, groups.vmv_partial.data());
-    xg.vmv_group_delta(mv.to, t, t + 1, other, groups.vmv_partial.data());
-    xg.mv_group_delta(mv.from, f, f - 1, groups.mv_partial.data());
-    xg.mv_group_delta(mv.to, t, t + 1, groups.mv_partial.data());
-  }
+  lines.vmv_total += xl.vmv_row_delta(mv.from, f, f - 1, other) +
+                     xl.vmv_row_delta(mv.to, t, t + 1, other);
+  groups.vmv_total += xg.vmv_group_delta(mv.from, f, f - 1, other) +
+                      xg.vmv_group_delta(mv.to, t, t + 1, other);
+  xg.mv_group_delta(mv.from, f, f - 1, groups.mv_total.data());
+  xg.mv_group_delta(mv.to, t, t + 1, groups.mv_total.data());
   counts[mv.from] = f - 1;
   counts[mv.to] = t + 1;
 }
@@ -233,19 +204,13 @@ double TiledTwoPhaseEvaluator::propose(const core::TickMove* moves,
                                        std::size_t count) {
   if (!primed_)
     throw std::logic_error("TiledTwoPhaseEvaluator::propose before reset()");
-  // Rejected proposals are discarded by re-deriving the scratch totals from
-  // the committed state — O(m+n) copies, no tile access. Per-tile partials
-  // are not copied: proposals score on the aggregated totals, and a commit
-  // replays the deltas into the committed partials.
-  scratch_.m.mv_total = committed_.m.mv_total;
-  scratch_.nt.mv_total = committed_.nt.mv_total;
-  scratch_.m.vmv_total = committed_.m.vmv_total;
-  scratch_.nt.vmv_total = committed_.nt.vmv_total;
-  p_scratch_ = p_counts_;
-  q_scratch_ = q_counts_;
-  pending_.assign(moves, moves + count);
-  for (std::size_t i = 0; i < count; ++i)
-    apply_move(scratch_, p_scratch_, q_scratch_, moves[i], /*partials=*/false);
+  // A rejected proposal is discarded by starting the next one from a copy
+  // of the committed state — O(m+n), no tile access. Until every move has
+  // applied there is nothing to commit, so an invalid move that throws
+  // leaves the committed state as it was.
+  proposal_outstanding_ = false;
+  scratch_ = committed_;
+  for (std::size_t i = 0; i < count; ++i) apply_move(scratch_, moves[i]);
   proposal_outstanding_ = true;
   return digitize(scratch_);
 }
@@ -254,19 +219,12 @@ void TiledTwoPhaseEvaluator::commit() {
   if (!proposal_outstanding_)
     throw std::logic_error("TiledTwoPhaseEvaluator::commit without propose()");
   proposal_outstanding_ = false;
-  // The proposal's totals are exactly the values digitize() scored: take
-  // them over, then replay the accepted moves into the per-tile partials
-  // (which walks the committed counts forward to the proposal's).
-  committed_.m.mv_total.swap(scratch_.m.mv_total);
-  committed_.nt.mv_total.swap(scratch_.nt.mv_total);
-  committed_.m.vmv_total = scratch_.m.vmv_total;
-  committed_.nt.vmv_total = scratch_.nt.vmv_total;
-  for (const core::TickMove& mv : pending_)
-    apply_move(committed_, p_counts_, q_counts_, mv, /*partials=*/true);
-  if (++commits_since_refresh_ >= config_.refresh_interval) {
+  // The proposal's state is exactly what digitize() scored.
+  std::swap(committed_, scratch_);
+  if (++commits_since_refresh_ >= core::kRefreshInterval) {
     commits_since_refresh_ = 0;
     ++refresh_count_;
-    full_read(committed_, p_counts_, q_counts_);
+    full_read(committed_);
   }
 }
 

@@ -22,16 +22,17 @@
 //
 // Incremental fast path (propose/commit protocol): a single SA tick move
 // changes one entry of p or q by ±1/I, so the architecture only re-drives
-// one word line / column group. The committed analog state is held PER
-// TILE — the Phase-1 partial line currents per tile column and the Phase-2
-// partial totals per tile — plus the aggregated totals the digitisation
-// consumes. A proposal routes every move to the affected tile row / column
-// (O(m+n) per move) and updates only the totals; WTA reduction, per-read
-// noise and ADC conversion are applied to the updated totals on every
-// proposal, so fidelity semantics and RNG draw order are identical to the
-// full-read path. A commit takes over the proposal's totals and replays the
-// moves into the per-tile partials; a full re-read every `refresh_interval`
-// commits bounds floating-point drift.
+// one word line / column group. The committed analog state is exactly what
+// the WTA trees and ADCs read: the H-tree outputs of both arrays (the
+// aggregated Phase-1 line currents and the Phase-2 grid totals). A proposal
+// copies them and routes every move's current deltas through the affected
+// tile row / column (O(m+n) per move); WTA reduction, per-read noise and ADC
+// conversion are applied to the updated totals on every proposal, so
+// fidelity semantics and RNG draw order are identical to the full-read path.
+// A commit swaps the proposal's state in. Per-tile partials exist only
+// inside a full read, which sums them in a fixed ascending order; one runs
+// on reset() and every core::kRefreshInterval commits to bound
+// floating-point drift.
 
 #include <cstdint>
 #include <memory>
@@ -127,43 +128,26 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
   const wta::WtaTree& wta_cols() const { return *wta_cols_; }
   const xbar::Adc& adc() const { return *adc_m_; }
 
-  /// Committed per-tile Phase-1 partials / Phase-2 partial grid of the M
-  /// (resp. Nᵀ) array — introspection for tests and per-tile energy
-  /// accounting. Valid after reset().
-  const std::vector<double>& committed_mv_partials_m() const {
-    return committed_.m.mv_partial;
-  }
-  const std::vector<double>& committed_vmv_partials_m() const {
-    return committed_.m.vmv_partial;
-  }
-
  private:
-  /// Per-array analog observables. Partials are maintained in the committed
-  /// state only; proposals work on the aggregated totals (the digitisation
-  /// input), which a commit takes over before replaying the moves into the
-  /// partials.
+  /// Per-array analog observables at the H-tree outputs: the digitisation
+  /// input.
   struct ArrayState {
-    std::vector<double> mv_partial;   // grid_cols × n (analog readouts)
-    std::vector<double> mv_total;     // n aggregated line currents
-    std::vector<double> vmv_partial;  // grid_rows × grid_cols
+    std::vector<double> mv_total;  // n aggregated line currents
     double vmv_total = 0.0;
   };
+  /// One profile's state: counts plus both arrays' observables.
   struct State {
+    std::vector<std::uint32_t> p_counts, q_counts;
     ArrayState m;   // the M array: rows = player-1 actions
     ArrayState nt;  // the Nᵀ array: rows = player-2 actions
   };
 
-  void size_state(State& st) const;
-  /// Full tile-grid read of one profile into `st` (partials + totals).
-  void full_read(State& st, const std::vector<std::uint32_t>& p_counts,
-                 const std::vector<std::uint32_t>& q_counts) const;
-  /// One tick move applied to the given counts and to either the totals
-  /// (proposal path) or the per-tile partials (commit path) of `st`.
-  void apply_move(State& st, std::vector<std::uint32_t>& p_counts,
-                  std::vector<std::uint32_t>& q_counts,
-                  const core::TickMove& mv, bool partials);
-  /// WTA + noise + ADC on the aggregated totals of `st`; updates last_ and
-  /// returns f.
+  /// Full tile-grid read of `st`'s counts into its observables.
+  void full_read(State& st);
+  /// One tick move applied to `st`'s counts and observables.
+  void apply_move(State& st, const core::TickMove& mv) const;
+  /// WTA + noise + ADC on the observables of `st`; updates last_ and returns
+  /// f.
   double digitize(const State& st);
 
   game::BimatrixGame game_;
@@ -181,11 +165,9 @@ class TiledTwoPhaseEvaluator final : public core::ObjectiveEvaluator,
   PhaseReadout last_{};
 
   // Incremental state (see class comment).
-  std::vector<std::uint32_t> p_counts_, q_counts_;    // committed
-  std::vector<std::uint32_t> p_scratch_, q_scratch_;  // proposal
-  State committed_, scratch_;
+  State committed_, scratch_;  // scratch_: the last proposal
   State eval_state_;  // evaluate()'s workspace, independent of proposals
-  std::vector<core::TickMove> pending_;  // outstanding proposal's moves
+  std::vector<double> mv_partials_, vmv_partials_;  // full_read()'s workspace
   std::vector<double> wta_scratch_;
   bool primed_ = false;
   bool proposal_outstanding_ = false;

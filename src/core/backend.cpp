@@ -42,19 +42,25 @@ bool product_exceeds(std::initializer_list<std::uint64_t> factors,
 
 /// The chip-model half of validate_request for a hardware request: maps
 /// both arrays (which rejects payoffs that do not code as cells), caps their
-/// cell counts, and on a tiled chip cuts them into tiles.
+/// cell counts, and on a tiled chip cuts them into tiles. A replica-exchange
+/// unit programs one chip per replica, so the whole ensemble's cells of each
+/// array obey the one-chip cap.
 void validate_chip_geometry(const SolveRequest& request, bool tiled) {
   const chip::ArrayGeometry geometry =
       chip::mapped_geometry(request.game, request.intervals, request.hardware);
+  const std::uint64_t chips = request.sa.mode == SaMode::kReplicaExchange
+                                  ? request.sa.replicas
+                                  : 1;
   for (const xbar::MappingGeometry* g : {&geometry.m, &geometry.nt}) {
-    if (product_exceeds({g->n, g->intervals, g->m, g->intervals,
+    if (product_exceeds({chips, g->n, g->intervals, g->m, g->intervals,
                          g->cells_per_element},
                         kMaxArrayCells))
       throw std::invalid_argument(
           "invalid solve request: a crossbar array of this game would exceed " +
           std::to_string(kMaxArrayCells) +
-          " cells (n*I word lines x m*I*t bit lines; t grows with the largest "
-          "payoff after shift and scale)");
+          " cells (n*I word lines x m*I*t bit lines, times sa.replicas under "
+          "replica exchange, which programs one chip per replica; t grows "
+          "with the largest payoff after shift and scale)");
     if (tiled)  // throws when a tile cannot hold one element block
       chip::TilePartition(*g, request.chip.tile_rows, request.chip.tile_cols);
   }
@@ -125,8 +131,13 @@ void validate_request(const SolveRequest& request) {
   const std::string& hardware = request.backend == "resilient"
                                     ? request.resilient_primary
                                     : request.backend;
-  if (hardware == "hardware-sa" || hardware == "hardware-sa-tiled")
-    validate_chip_geometry(request, hardware == "hardware-sa-tiled");
+  const bool on_chip =
+      hardware == "hardware-sa" || hardware == "hardware-sa-tiled";
+  if ((on_chip || request.backend == "exact-sa") && request.sa.iterations == 0)
+    throw std::invalid_argument(
+        "invalid solve request: sa.iterations == 0 (an SA backend needs at "
+        "least one iteration)");
+  if (on_chip) validate_chip_geometry(request, hardware == "hardware-sa-tiled");
 }
 
 void verify_samples(const game::BimatrixGame& game, double nash_eps,

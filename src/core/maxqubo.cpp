@@ -6,13 +6,6 @@
 
 namespace cnash::core {
 
-namespace {
-/// Full recomputes every this many commits bound incremental fp drift; the
-/// property tests require agreement with the full objective to 1e-9 over
-/// arbitrarily long move sequences.
-constexpr std::size_t kRefreshInterval = 1024;
-}  // namespace
-
 ExactMaxQubo::ExactMaxQubo(game::BimatrixGame game)
     : ExactMaxQubo(std::make_shared<const Shared>(std::move(game))) {}
 

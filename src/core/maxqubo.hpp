@@ -32,6 +32,11 @@ struct TickMove {
   std::uint32_t to;
 };
 
+/// Commits between full recomputes of an incremental evaluator's committed
+/// state (ExactMaxQubo's products, the hardware evaluator's analog
+/// observables); the refresh bounds incremental floating-point drift.
+inline constexpr std::size_t kRefreshInterval = 1024;
+
 /// Optional propose/commit protocol for evaluators with an incremental fast
 /// path. Usage: reset(initial) primes the committed state; propose(moves)
 /// scores the committed profile with the moves applied (without committing);

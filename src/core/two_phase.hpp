@@ -4,7 +4,6 @@
 // "hardware-sa-tiled" evaluator is programmed with. The evaluator itself is
 // chip::TiledTwoPhaseEvaluator (chip/tiled_two_phase.hpp).
 
-#include <cstddef>
 #include <cstdint>
 
 #include "wta/wta_tree.hpp"
@@ -30,9 +29,6 @@ struct TwoPhaseConfig {
   /// Expose the incremental propose/commit fast path to the SA loop. Off, the
   /// annealer falls back to a full crossbar re-read per iteration.
   bool incremental = true;
-  /// Commits between full crossbar re-reads on the incremental path (bounds
-  /// accumulated floating-point drift of the analog state).
-  std::size_t refresh_interval = 1024;
 };
 
 }  // namespace cnash::core

@@ -132,7 +132,9 @@ GameKey request_key(const core::SolveRequest& req) {
   kb.u32(req.hardware.cells_per_element);
   kb.u32(req.hardware.levels_per_cell);
   kb.u32(req.hardware.incremental ? 1u : 0u);
-  kb.u64(req.hardware.refresh_interval);
+  // The evaluators' refresh period, a request knob until it became one
+  // constant; writing it keeps stored keys valid without a salt bump.
+  kb.u64(core::kRefreshInterval);
   // Chip / tiling knobs.
   kb.u64(req.chip.tile_rows);
   kb.u64(req.chip.tile_cols);

@@ -128,10 +128,6 @@ double dot(const double* a, const double* b, std::size_t n) {
   return active().dot(a, b, n);
 }
 
-double max_value(const double* x, std::size_t n) {
-  return active().max_value(x, n);
-}
-
 void fill_normals(util::Rng& rng, double* out, std::size_t n) {
   // Draw raw uniforms serially in one bulk call (the generator is inherently
   // sequential), then hand whole chunks of pairs to the vectorized Box-Muller

@@ -71,9 +71,6 @@ void axpy_skip(double* y, double s, const double* x, std::size_t n,
 /// the result is identical no matter which vector width executes it.
 double dot(const double* a, const double* b, std::size_t n);
 
-/// max(x[0..n)) with std::max_element semantics (first maximum wins). n >= 1.
-double max_value(const double* x, std::size_t n);
-
 // ---- Bulk device sampling ---------------------------------------------------
 
 /// Fills out[0..n) with standard normals via batched Box-Muller on its own

@@ -18,7 +18,6 @@ struct KernelTable {
   void (*axpy)(double*, double, const double*, std::size_t);
   void (*axpy_skip)(double*, double, const double*, std::size_t, std::size_t);
   double (*dot)(const double*, const double*, std::size_t);
-  double (*max_value)(const double*, std::size_t);
   void (*normal_pairs)(const std::uint64_t*, double*, std::size_t);
   void (*off_cell_accumulate)(double*, const double*, std::size_t, double,
                               double);

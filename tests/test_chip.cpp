@@ -1,7 +1,6 @@
 // The multi-tile chip model (src/chip/): tile-partition geometry (partial
-// tiles, non-square games), tile reads vs the monolithic array, the tiled
-// two-phase evaluator's per-tile incremental state, and the two acceptance
-// contracts:
+// tiles, non-square games), tile reads vs the monolithic array, the tile
+// delta kernels on the H-tree outputs, and the two acceptance contracts:
 //   * a 1×1 tile grid of any tile size byte-reproduces the monolithic array
 //     ("hardware-sa": one tile sized to the game) — identical RNG draw
 //     sequence, identical SA trajectories, full non-idealities on — and both
@@ -184,44 +183,62 @@ TEST(TiledCrossbar, DeltaKernelsMatchFullReads) {
   xbar::ArrayConfig cfg;  // realistic variability: deltas must still be exact
   util::Rng prog(42);
   TiledCrossbar tiled(payoff, intervals, 0, 2, cfg, 16, 64, prog);
-  const std::size_t gc = tiled.partition().grid_cols();
+  ASSERT_GT(tiled.partition().grid_rows(), 1u);
+  ASSERT_GT(tiled.partition().grid_cols(), 1u);
+
+  // The H-tree outputs of a full read: the line currents summed over the
+  // tile columns and the VMV partials summed over the grid.
+  auto line_currents = [&](const std::vector<std::uint32_t>& q) {
+    const std::size_t gc = tiled.partition().grid_cols();
+    std::vector<double> partials(gc * n);
+    tiled.read_mv_partials(q.data(), partials.data());
+    std::vector<double> total(n, 0.0);
+    for (std::size_t tc = 0; tc < gc; ++tc)
+      for (std::size_t i = 0; i < n; ++i) total[i] += partials[tc * n + i];
+    return total;
+  };
+  auto grid_total = [&](const std::vector<std::uint32_t>& p,
+                        const std::vector<std::uint32_t>& q) {
+    std::vector<double> grid(tiled.partition().num_tiles());
+    tiled.read_vmv_partials(p.data(), q.data(), grid.data());
+    double total = 0.0;
+    for (const double v : grid) total += v;
+    return total;
+  };
 
   util::Rng act_rng(7);
   auto p = random_counts(n, intervals, act_rng);
   auto q = random_counts(m, intervals, act_rng);
-  std::vector<double> partials(gc * n, 0.0);
-  tiled.read_mv_partials(q.data(), partials.data());
-  std::vector<double> grid(tiled.partition().num_tiles(), 0.0);
-  tiled.read_vmv_partials(p.data(), q.data(), grid.data());
+  std::vector<double> lines = line_currents(q);
+  double vmv = grid_total(p, q);
 
-  // Move one q tick j_from -> j_to through the delta kernels...
+  // Move one q tick j_from -> j_to and one p tick i_from -> i_to through the
+  // delta kernels...
   std::size_t j_from = 0;
   while (q[j_from] == 0) ++j_from;
   const std::size_t j_to = (j_from + 3) % m;
-  double vmv_total = 0.0;
-  for (const double v : grid) vmv_total += v;
-  vmv_total += tiled.vmv_group_delta(j_from, q[j_from], q[j_from] - 1,
-                                     p.data(), grid.data()) +
-               tiled.vmv_group_delta(j_to, q[j_to], q[j_to] + 1, p.data(),
-                                     grid.data());
-  tiled.mv_group_delta(j_from, q[j_from], q[j_from] - 1, partials.data());
-  tiled.mv_group_delta(j_to, q[j_to], q[j_to] + 1, partials.data());
+  vmv += tiled.vmv_group_delta(j_from, q[j_from], q[j_from] - 1, p.data()) +
+         tiled.vmv_group_delta(j_to, q[j_to], q[j_to] + 1, p.data());
+  tiled.mv_group_delta(j_from, q[j_from], q[j_from] - 1, lines.data());
+  tiled.mv_group_delta(j_to, q[j_to], q[j_to] + 1, lines.data());
   --q[j_from];
   ++q[j_to];
+  std::size_t i_from = 0;
+  while (p[i_from] == 0) ++i_from;
+  const std::size_t i_to = (i_from + 2) % n;
+  vmv += tiled.vmv_row_delta(i_from, p[i_from], p[i_from] - 1, q.data()) +
+         tiled.vmv_row_delta(i_to, p[i_to], p[i_to] + 1, q.data());
+  --p[i_from];
+  ++p[i_to];
 
-  // ...and compare against fresh full reads of the moved profile.
-  std::vector<double> fresh_partials(gc * n, 0.0);
-  tiled.read_mv_partials(q.data(), fresh_partials.data());
-  for (std::size_t k = 0; k < partials.size(); ++k)
-    EXPECT_NEAR(partials[k], fresh_partials[k],
-                1e-9 * (std::abs(fresh_partials[k]) + 1e-15));
-  std::vector<double> fresh_grid(tiled.partition().num_tiles(), 0.0);
-  tiled.read_vmv_partials(p.data(), q.data(), fresh_grid.data());
-  double fresh_total = 0.0;
-  for (const double v : fresh_grid) fresh_total += v;
-  EXPECT_NEAR(vmv_total, fresh_total, 1e-9 * (std::abs(fresh_total) + 1e-15));
-  for (std::size_t k = 0; k < grid.size(); ++k)
-    EXPECT_NEAR(grid[k], fresh_grid[k], 1e-9 * (std::abs(fresh_grid[k]) + 1e-15));
+  // ...and compare against a fresh full read of the moved profile.
+  const std::vector<double> fresh_lines = line_currents(q);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(lines[i], fresh_lines[i],
+                1e-9 * (std::abs(fresh_lines[i]) + 1e-15))
+        << "row " << i;
+  const double fresh_vmv = grid_total(p, q);
+  EXPECT_NEAR(vmv, fresh_vmv, 1e-9 * (std::abs(fresh_vmv) + 1e-15));
 }
 
 // ---- 1×1 grid byte-reproduces hardware-sa's one-tile chip -------------------
@@ -364,41 +381,6 @@ TEST(TiledTwoPhase, MultiTileIncrementalMatchesFullReadPath) {
   EXPECT_EQ(full.accepted, inc.accepted);
   EXPECT_EQ(full.final_profile.p.counts(), inc.final_profile.p.counts());
   EXPECT_EQ(full.final_profile.q.counts(), inc.final_profile.q.counts());
-}
-
-TEST(TiledTwoPhase, CommittedPerTileStateTracksFullReads) {
-  // After thousands of committed tick moves the per-tile committed partials
-  // must still agree with a fresh tile-grid read of the final profile
-  // (drift bounded by the refresh mechanism).
-  util::Rng game_rng(606);
-  const game::BimatrixGame g(random_integer_matrix(8, 8, 4, game_rng),
-                             random_integer_matrix(8, 8, 4, game_rng),
-                             "drift");
-  core::TwoPhaseConfig cfg;  // realistic array, noise on
-  core::SaOptions sa;
-  sa.iterations = 5000;
-  TiledTwoPhaseEvaluator ev(g, 8, cfg, chip_grid(16, 96), util::Rng(1212));
-  util::Rng sa_rng(3434);
-  const core::SaRunResult res = core::simulated_annealing(ev, 8, sa, sa_rng);
-
-  const std::size_t n = g.num_actions1();
-  std::vector<double> fresh(ev.chip_m().partition().grid_cols() * n, 0.0);
-  ev.chip_m().read_mv_partials(res.final_profile.q.counts().data(),
-                               fresh.data());
-  const auto& committed = ev.committed_mv_partials_m();
-  ASSERT_EQ(committed.size(), fresh.size());
-  for (std::size_t k = 0; k < fresh.size(); ++k)
-    EXPECT_NEAR(committed[k], fresh[k], 1e-9 * std::abs(fresh[k]) + 1e-15);
-
-  std::vector<double> fresh_vmv(ev.chip_m().partition().num_tiles(), 0.0);
-  ev.chip_m().read_vmv_partials(res.final_profile.p.counts().data(),
-                                res.final_profile.q.counts().data(),
-                                fresh_vmv.data());
-  const auto& committed_vmv = ev.committed_vmv_partials_m();
-  ASSERT_EQ(committed_vmv.size(), fresh_vmv.size());
-  for (std::size_t k = 0; k < fresh_vmv.size(); ++k)
-    EXPECT_NEAR(committed_vmv[k], fresh_vmv[k],
-                1e-9 * std::abs(fresh_vmv[k]) + 1e-15);
 }
 
 // ---- Scale: 128×128 actions on a 32×128 grid of small tiles ----------------

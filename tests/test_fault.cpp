@@ -12,8 +12,9 @@
 //     falls back to exact-sa (fallback_count == runs) and the samples match a
 //     pure exact-sa solve bit for bit;
 //   * validate_request — the deadline / fault / resilient_primary knobs,
-//     the run / replica caps and, on every hardware path, games the chip
-//     model cannot hold reject bad requests at submit time;
+//     the run / replica caps, zero SA iterations and, on every hardware
+//     path, games (or replica ensembles) the chip model cannot hold reject
+//     bad requests at submit time;
 //   * SolverService deadlines — anytime degradation: a deadline-bounded job
 //     returns degraded=true with units accounting within deadline + one
 //     unit's wall time, and a drained service rejects submissions with
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -371,6 +373,82 @@ TEST(ValidateRequest, CapsRunsAndReplicasOnEveryBackend) {
     req.sa.replicas = core::kMaxReplicas;
     EXPECT_NO_THROW(core::validate_request(req)) << name;
   }
+}
+
+TEST(ValidateRequest, RejectsZeroIterationsOnSaBackends) {
+  // An SA solve with no iterations could only fail on a worker, after the
+  // hardware backends programmed a chip for it. The other backends ignore
+  // iterations and keep accepting 0.
+  const std::vector<std::string> sa_backends = {
+      "exact-sa", "hardware-sa", "hardware-sa-tiled", "resilient"};
+  std::size_t sa_seen = 0;
+  for (const std::string& name : core::SolverRegistry::global().names()) {
+    const bool sa = std::find(sa_backends.begin(), sa_backends.end(), name) !=
+                    sa_backends.end();
+    sa_seen += sa ? 1 : 0;
+    for (const core::SaMode mode :
+         {core::SaMode::kIndependent, core::SaMode::kReplicaExchange}) {
+      core::SolveRequest req(game::battle_of_sexes());
+      req.backend = name;
+      req.sa.mode = mode;
+      req.sa.replicas = 2;
+      req.sa.iterations = 0;
+      if (sa) {
+        EXPECT_THROW(core::validate_request(req), std::invalid_argument)
+            << name;
+      } else {
+        EXPECT_NO_THROW(core::validate_request(req)) << name;
+      }
+      req.sa.iterations = 1;
+      EXPECT_NO_THROW(core::validate_request(req)) << name;
+    }
+  }
+  EXPECT_EQ(sa_seen, sa_backends.size());
+}
+
+TEST(ValidateRequest, CapsTheCellsOfAReplicaEnsembleAtOneChip) {
+  // A replica-exchange unit programs one chip per replica, so the cell cap
+  // holds for the whole ensemble: a 1×1 game at I = 1 whose M array holds
+  // kMaxArrayCells / 4 cells fits four replicas, not five.
+  auto ensemble = [](const char* backend, const char* primary,
+                     std::size_t replicas) {
+    core::SolveRequest req(game::BimatrixGame(
+        la::Matrix(1, 1, static_cast<double>(core::kMaxArrayCells / 4)),
+        la::Matrix(1, 1), "1x1"));
+    req.backend = backend;
+    req.resilient_primary = primary;
+    req.intervals = 1;
+    req.chip.tile_cols = core::kMaxArrayCells;  // one block fits a tile
+    req.sa.mode = core::SaMode::kReplicaExchange;
+    req.sa.replicas = replicas;
+    return req;
+  };
+  struct Target {
+    const char* backend;
+    const char* primary;
+  };
+  for (const Target& t : {Target{"hardware-sa", "hardware-sa"},
+                          Target{"hardware-sa-tiled", "hardware-sa"},
+                          Target{"resilient", "hardware-sa"},
+                          Target{"resilient", "hardware-sa-tiled"}}) {
+    const std::string name = std::string(t.backend) + "/" + t.primary;
+    EXPECT_NO_THROW(core::validate_request(ensemble(t.backend, t.primary, 4)))
+        << name;
+    try {
+      core::validate_request(ensemble(t.backend, t.primary, 5));
+      ADD_FAILURE() << name << ": five replicas accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("sa.replicas"), std::string::npos)
+          << name << ": " << e.what();
+    }
+    // Independent runs hold one chip at a time.
+    core::SolveRequest independent = ensemble(t.backend, t.primary, 5);
+    independent.sa.mode = core::SaMode::kIndependent;
+    EXPECT_NO_THROW(core::validate_request(independent)) << name;
+  }
+  // exact-sa programs no chip.
+  EXPECT_NO_THROW(core::validate_request(
+      ensemble("exact-sa", "hardware-sa", core::kMaxReplicas)));
 }
 
 TEST(ValidateRequest, RejectsFaultsOutsideTheResilientBackend) {

@@ -1,7 +1,8 @@
 // Equivalence of the incremental two-phase fast path (crossbar delta reads +
-// propose/commit) against the full-read evaluation, plus the drift-refresh
-// regression. Two evaluators built from the same seed share identical device
-// sampling, so any disagreement is a fast-path bug, not hardware randomness.
+// propose/commit) against the full-read evaluation, on one tile and on a
+// multi-tile grid, plus the drift-refresh regression. Two evaluators built
+// from the same seed share identical device sampling, so any disagreement
+// is a fast-path bug, not hardware randomness.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "chip/tiled_two_phase.hpp"
 #include "core/anneal.hpp"
 #include "game/games.hpp"
+#include "game/random_games.hpp"
 #include "util/rng.hpp"
 
 namespace cnash::core {
@@ -26,6 +28,21 @@ TwoPhaseConfig noiseless_config() {
   cfg.wta.read_noise_rel = 0.0;
   cfg.adc_noise_rel = 0.0;  // quantization stays on — it is part of the path
   return cfg;
+}
+
+/// 16×96-cell tiles: an 8×8 game with payoffs in [0, 4] at I = 8 spans a
+/// 4×3 grid of them, so every line current and grid total the digitisation
+/// reads is an H-tree sum over several tiles.
+chip::ChipConfig small_tiles() {
+  chip::ChipConfig c;
+  c.tile_rows = 16;
+  c.tile_cols = 96;
+  return c;
+}
+
+game::BimatrixGame multi_tile_game() {
+  util::Rng rng(415);
+  return game::random_integer_game(8, 8, rng, 0, 4);
 }
 
 /// Draws a valid random tick move for one player of `prof`.
@@ -123,11 +140,38 @@ TEST(IncrementalTwoPhase, TracksFullReadWithinAdcLsbUnderNoise) {
   EXPECT_LE(worst, 8.0 * lsb_payoff);
 }
 
+TEST(IncrementalTwoPhase, MatchesFullReadBitForBitOnMultiTileGrid) {
+  // Commits swap in the proposal's H-tree outputs; only full reads sum the
+  // per-tile partials. Noise off, both paths must still digitise alike.
+  const auto g = multi_tile_game();
+  TiledTwoPhaseEvaluator inc(g, 8, noiseless_config(), small_tiles(),
+                             util::Rng(416));
+  TiledTwoPhaseEvaluator full(g, 8, noiseless_config(), small_tiles(),
+                              util::Rng(416));
+  ASSERT_GT(inc.chip_m().partition().grid_rows(), 1u);
+  ASSERT_GT(inc.chip_m().partition().grid_cols(), 1u);
+  util::Rng rng(417);
+  walk_and_compare(inc, full, g, 8, 3000, rng, /*expect_exact=*/true);
+}
+
+TEST(IncrementalTwoPhase, TracksFullReadWithinAdcLsbUnderNoiseOnMultiTileGrid) {
+  const auto g = multi_tile_game();
+  TwoPhaseConfig cfg;  // realistic defaults
+  TiledTwoPhaseEvaluator inc(g, 8, cfg, small_tiles(), util::Rng(418));
+  TiledTwoPhaseEvaluator full(g, 8, cfg, small_tiles(), util::Rng(418));
+  util::Rng rng(419);
+  const double worst =
+      walk_and_compare(inc, full, g, 8, 3000, rng, /*expect_exact=*/false);
+  const double lsb_payoff =
+      inc.chip_m().current_to_value(inc.adc().lsb_current());
+  EXPECT_LE(worst, 8.0 * lsb_payoff);
+}
+
 TEST(IncrementalTwoPhase, RefreshReReadsAtConfiguredInterval) {
+  // Every proposal is committed, past two refreshes: the count steps every
+  // kRefreshInterval commits and the readout stays exact throughout.
   const auto g = game::battle_of_sexes();
-  TwoPhaseConfig cfg = noiseless_config();
-  cfg.refresh_interval = 16;
-  TiledTwoPhaseEvaluator inc(g, 12, cfg, util::Rng(407));
+  TiledTwoPhaseEvaluator inc(g, 12, noiseless_config(), util::Rng(407));
   TiledTwoPhaseEvaluator full(g, 12, noiseless_config(), util::Rng(407));
   util::Rng rng(408);
   game::QuantizedProfile prof{
@@ -135,15 +179,16 @@ TEST(IncrementalTwoPhase, RefreshReReadsAtConfiguredInterval) {
       game::QuantizedStrategy::random(2, 12, rng)};
   inc.reset(prof);
   std::size_t commits = 0;
-  for (std::size_t step = 0; step < 100; ++step) {
+  for (std::size_t step = 0; step < 2 * kRefreshInterval + 100; ++step) {
     const TickMove mv = random_move(prof.p, TickMove::Player::kRow, rng);
     prof.p.move_tick(mv.from, mv.to);
     const double f_inc = inc.propose(&mv, 1);
     EXPECT_EQ(f_inc, full.evaluate(prof));
     inc.commit();  // every proposal committed: drift accumulates fastest
     ++commits;
-    EXPECT_EQ(inc.refresh_count(), commits / cfg.refresh_interval);
+    EXPECT_EQ(inc.refresh_count(), commits / kRefreshInterval);
   }
+  EXPECT_EQ(inc.refresh_count(), 2u);
 }
 
 TEST(IncrementalTwoPhase, ProposeBeforeResetThrows) {
@@ -152,6 +197,26 @@ TEST(IncrementalTwoPhase, ProposeBeforeResetThrows) {
   const TickMove mv{TickMove::Player::kRow, 0, 1};
   EXPECT_THROW(hw.propose(&mv, 1), std::logic_error);
   EXPECT_THROW(hw.commit(), std::logic_error);
+}
+
+TEST(IncrementalTwoPhase, InvalidMoveLeavesNothingToCommit) {
+  // A proposal whose second move throws has applied its first to the
+  // scratch state. It replaces any earlier uncommitted proposal and leaves
+  // nothing to commit, so the committed state stays as it was.
+  TiledTwoPhaseEvaluator hw(game::battle_of_sexes(), 12, noiseless_config(),
+                            util::Rng(420));
+  const game::QuantizedStrategy pure = game::QuantizedStrategy::pure(2, 0, 12);
+  hw.reset({pure, pure});
+  const TickMove valid{TickMove::Player::kRow, 0, 1};
+  const TickMove invalid{TickMove::Player::kCol, 1, 0};  // q[1] == 0
+  const TickMove moves[2] = {valid, invalid};
+  hw.propose(&valid, 1);
+  EXPECT_THROW(hw.propose(moves, 2), std::logic_error);
+  EXPECT_THROW(hw.commit(), std::logic_error);
+  const game::QuantizedProfile moved{game::QuantizedStrategy({11, 1}, 12),
+                                     pure};
+  const double f_full = hw.evaluate(moved);
+  EXPECT_EQ(hw.propose(&valid, 1), f_full);
 }
 
 TEST(IncrementalTwoPhase, IncrementalFlagGatesProtocol) {

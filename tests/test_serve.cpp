@@ -1172,6 +1172,28 @@ TEST(ServeGuards, OversizedSolveGetsBadRequestAndTheGatewayKeepsServing) {
         << payoff;
   }
 
+  // An SA solve with no iterations, in either SA mode, on every SA backend.
+  for (const char* backend :
+       {"exact-sa", "hardware-sa", "hardware-sa-tiled", "resilient"}) {
+    for (const char* mode :
+         {"", ",\"sa_mode\":\"replica-exchange\",\"replicas\":2"}) {
+      const util::Json none = client.request(
+          solve_line(game::battle_of_sexes(), 6, backend, 1, 0, 7, mode));
+      ASSERT_FALSE(none.at("ok").as_bool()) << backend << mode;
+      EXPECT_EQ(none.at("error").at("code").as_string(), "bad_request")
+          << backend << mode;
+    }
+  }
+  // A replica ensemble whose chips together exceed the one-chip cell cap:
+  // 9 replicas of a 2^22-cell array.
+  const game::BimatrixGame wide(la::Matrix(1, 1, 4194304.0), la::Matrix(1, 1),
+                                "wide");
+  const util::Json wide_ensemble = client.request(solve_line(
+      wide, 7, "hardware-sa", 1, 10, 7,
+      ",\"intervals\":1,\"sa_mode\":\"replica-exchange\",\"replicas\":9"));
+  ASSERT_FALSE(wide_ensemble.at("ok").as_bool());
+  EXPECT_EQ(wide_ensemble.at("error").at("code").as_string(), "bad_request");
+
   const util::Json ok = client.request(solve_line(game::battle_of_sexes(), 4));
   EXPECT_TRUE(ok.at("ok").as_bool());
   EXPECT_EQ(ok.at("report").at("samples").size(), 4u);
