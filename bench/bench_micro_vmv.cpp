@@ -169,7 +169,9 @@ BENCHMARK(BM_SQuboAnnealRead)->Unit(benchmark::kMicrosecond);
 // Table 1 instance's M array on one crossbar. Arg 2: a 64-action game with
 // integer payoffs 0..7 at I = 12, the size of perfbench's largest hardware
 // jobs, on one crossbar; Arg 3: the same array on 16×256 tiles (a 64×22 grid
-// of 1408 tiles), where per-tile costs show.
+// of 1408 tiles), where per-tile costs show. Arg 4: an 8-action integer game
+// at I = 12, the smallest hardware array of perfbench's serve_cold, where
+// the set-up of the sampler's generator lanes shows.
 void BM_CrossbarProgramming(benchmark::State& state) {
   const auto arg = static_cast<std::size_t>(state.range(0));
   la::Matrix payoff;
@@ -179,8 +181,10 @@ void BM_CrossbarProgramming(benchmark::State& state) {
     payoff = inst.game.shifted_non_negative(0.0).payoff1();
     intervals = inst.intervals;
   } else {
+    const std::size_t actions = arg == 4 ? 8 : 64;
     util::Rng game_rng(64);
-    payoff = game::random_integer_game(64, 64, game_rng, 0, 7).payoff1();
+    payoff = game::random_integer_game(actions, actions, game_rng, 0, 7)
+                 .payoff1();
   }
   const xbar::ArrayConfig cfg;
   for (auto _ : state) {
@@ -200,7 +204,26 @@ BENCHMARK(BM_CrossbarProgramming)
     ->Arg(1)
     ->Arg(2)
     ->Arg(3)
+    ->Arg(4)
     ->Unit(benchmark::kMicrosecond);
+
+// Rng::jump over 2^20 draws, about one generator lane of a 64-action array.
+// Arg 0 applies a polynomial computed once, as lanes an equal distance apart
+// do; Arg 1 jumps by a count, so every call computes its polynomial.
+void BM_RngJump(benchmark::State& state) {
+  const bool fresh = state.range(0) != 0;
+  const std::uint64_t n = 1ULL << 20;
+  const util::JumpPolynomial poly = util::jump_polynomial(n);
+  util::Rng rng(12);
+  for (auto _ : state) {
+    if (fresh)
+      rng.jump(n);
+    else
+      rng.jump(poly);
+    benchmark::DoNotOptimize(rng);
+  }
+}
+BENCHMARK(BM_RngJump)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // ---- simd:: kernel layer, SIMD-vs-scalar axis -------------------------------
 // Arg(0/1/2) selects the forced ISA level (scalar/avx2/avx512); levels the

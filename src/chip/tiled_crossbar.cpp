@@ -21,10 +21,10 @@ TiledCrossbar::TiledCrossbar(const la::Matrix& payoff, std::uint32_t intervals,
 
   // Program the grid row-major; every tile maps its element sub-range with
   // the GLOBAL cells-per-element so block geometry is uniform across tiles
-  // (and a 1×1 grid is byte-for-byte the monolithic array). The device
-  // calibration depends on the config alone, so all tiles share one.
-  const xbar::CellCalibration calibration(config);
-  tiles_.reserve(part_.num_tiles());
+  // (and a 1×1 grid is byte-for-byte the monolithic array). All tiles are
+  // sampled in one pass: tile after tile, each tile's blocks row-major.
+  std::vector<xbar::CrossbarMapping> maps;
+  maps.reserve(part_.num_tiles());
   ranges_.reserve(part_.num_tiles());
   for (std::size_t tr = 0; tr < part_.grid_rows(); ++tr) {
     for (std::size_t tc = 0; tc < part_.grid_cols(); ++tc) {
@@ -34,11 +34,10 @@ TiledCrossbar::TiledCrossbar(const la::Matrix& payoff, std::uint32_t intervals,
       for (std::size_t i = r.i0; i < r.i1; ++i)
         for (std::size_t j = r.j0; j < r.j1; ++j)
           sub(i - r.i0, j - r.j0) = payoff(i, j);
-      xbar::CrossbarMapping map(sub, intervals, g.cells_per_element,
-                                levels_per_cell);
-      tiles_.emplace_back(std::move(map), config, calibration, rng);
+      maps.emplace_back(sub, intervals, g.cells_per_element, levels_per_cell);
     }
   }
+  tiles_ = xbar::ProgrammedCrossbar::program_all(std::move(maps), config, rng);
 
   // Inject dead tiles AFTER programming: every tile consumed its full device
   // draw sequence above, so killing one never shifts another tile's streams

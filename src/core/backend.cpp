@@ -253,8 +253,10 @@ SolveSample sa_sample(const SaRunResult& res, bool report_best) {
 
 std::size_t SaPreparedJob::num_units() const {
   if (sa_.mode == SaMode::kReplicaExchange) return num_runs_;
+  // Ceil division that cannot wrap: in-process callers may pass a
+  // batch_lanes near SIZE_MAX.
   const std::size_t k = std::max<std::size_t>(1, sa_.batch_lanes);
-  return (num_runs_ + k - 1) / k;
+  return num_runs_ / k + (num_runs_ % k != 0 ? 1 : 0);
 }
 
 std::vector<SolveSample> SaPreparedJob::run_unit(std::size_t unit) const {

@@ -7,6 +7,7 @@
 #include "simd/simd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 
@@ -130,22 +131,38 @@ double dot(const double* a, const double* b, std::size_t n) {
 
 void fill_normals(util::Rng& rng, double* out, std::size_t n) {
   // Draw raw uniforms serially in one bulk call (the generator is inherently
-  // sequential), then hand whole chunks of pairs to the vectorized Box-Muller
-  // kernel.
-  constexpr std::size_t kPairChunk = 128;
-  std::uint64_t raw[2 * kPairChunk];
-  double vals[2 * kPairChunk];
-  const KernelTable& k = active();
-  std::size_t produced = 0;
-  while (produced < n) {
-    const std::size_t want = n - produced;
-    const std::size_t pairs = std::min(kPairChunk, (want + 1) / 2);
-    rng.fill(raw, 2 * pairs);
-    k.normal_pairs(raw, vals, pairs);
-    const std::size_t take = std::min(want, 2 * pairs);
-    std::copy_n(vals, take, out + produced);
-    produced += take;
+  // sequential), then hand them to the vectorized Box-Muller kernel. Chunks
+  // hold whole pairs, so chunking never splits one.
+  constexpr std::size_t kChunk = 256;
+  std::uint64_t raw[kChunk];
+  for (std::size_t done = 0; done < n; done += kChunk) {
+    const std::size_t take = std::min(kChunk, n - done);
+    rng.fill(raw, normal_draws(take));
+    normals_from_draws(raw, out + done, take);
   }
+}
+
+void normals_from_draws(const std::uint64_t* raw, double* out, std::size_t n) {
+  const KernelTable& k = active();
+  k.normal_pairs(raw, out, n / 2);
+  if (n % 2 != 0) {
+    double pair[2];
+    k.normal_pairs(raw + n - 1, pair, 1);
+    out[n - 1] = pair[0];
+  }
+}
+
+void fill_lanes(util::Rng* lanes, std::uint64_t* const* out,
+                const std::size_t* count) {
+  std::uint64_t state[4 * kRngLanes];
+  for (std::size_t l = 0; l < kRngLanes; ++l) {
+    const std::array<std::uint64_t, 4> s = lanes[l].state();
+    for (std::size_t w = 0; w < 4; ++w) state[w * kRngLanes + l] = s[w];
+  }
+  active().rng_lanes(state, out, count);
+  for (std::size_t l = 0; l < kRngLanes; ++l)
+    lanes[l].set_state({state[l], state[kRngLanes + l],
+                        state[2 * kRngLanes + l], state[3 * kRngLanes + l]});
 }
 
 void off_cell_accumulate(double* sum, const double* zv, std::size_t n,

@@ -85,6 +85,22 @@ void fill_normals(util::Rng& rng, double* out, std::size_t n);
 /// Raw draws fill_normals consumes for n normals: 2*ceil(n/2).
 constexpr std::size_t normal_draws(std::size_t n) { return 2 * ((n + 1) / 2); }
 
+/// The normals fill_normals makes from draws taken beforehand: out[0..n)
+/// from raw[0..normal_draws(n)), exactly what fill_normals(rng, out, n)
+/// writes when those are rng's next draws.
+void normals_from_draws(const std::uint64_t* raw, double* out, std::size_t n);
+
+/// Generators fill_lanes steps at once.
+inline constexpr std::size_t kRngLanes = 8;
+
+/// Steps lanes[0..kRngLanes) in lockstep: lane l writes its next count[l]
+/// raw draws to out[l][0..count[l]) and stops there, so it ends exactly as
+/// lanes[l].fill(out[l], count[l]) would, cached normal included. One stream
+/// cannot use a vector unit; lanes started at different offsets of it (see
+/// util::Rng::jump) can.
+void fill_lanes(util::Rng* lanes, std::uint64_t* const* out,
+                const std::size_t* count);
+
 // The cell kernels below require `sum` not to overlap any of their input
 // arrays (zv, zr, zm); the inputs may overlap each other.
 

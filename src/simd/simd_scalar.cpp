@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "simd/simd_table.hpp"
 

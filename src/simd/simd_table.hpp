@@ -23,6 +23,9 @@ struct KernelTable {
                               double);
   void (*on_cell_accumulate)(double*, const double*, const double*,
                              const double*, std::size_t, const OnCellParams&);
+  /// state[w * kRngLanes + l] is word w of lane l.
+  void (*rng_lanes)(std::uint64_t* state, std::uint64_t* const* out,
+                    const std::size_t* count);
 };
 
 namespace scalar_isa {

@@ -15,6 +15,24 @@ namespace cnash::util {
 /// splitmix64 step; used for seeding and as a cheap stateless mixer.
 std::uint64_t splitmix64(std::uint64_t& state);
 
+/// A polynomial over GF(2) of degree below 256, coefficients low word first.
+using JumpPolynomial = std::array<std::uint64_t, 4>;
+
+/// The xoshiro256 state map A is linear over GF(2). Its characteristic
+/// polynomial is P(x) = x^256 + p(x), where bit k of kXoshiroCharPoly[k / 64]
+/// is the coefficient of x^k in p (the Berlekamp–Massey result over the state
+/// map). By Cayley–Hamilton A^n = (x^n mod P)(A), so any offset into the
+/// stream is reachable in O(log n) (Haramoto et al., "Efficient Jump Ahead
+/// for F2-Linear Random Number Generators", 2008).
+inline constexpr JumpPolynomial kXoshiroCharPoly = {
+    0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL, 0x04b4edcf26259f85ULL,
+    0x0003c03c3f3ecb19ULL};
+
+/// x^(n·2^doublings) mod P(x): the polynomial Rng::jump applies to skip
+/// n·2^doublings draws. (1, 128) and (1, 192) give xoshiro256's published
+/// JUMP and LONG_JUMP words.
+JumpPolynomial jump_polynomial(std::uint64_t n, unsigned doublings = 0);
+
 /// xoshiro256++ generator. Satisfies std::uniform_random_bit_generator.
 class Rng {
  public:
@@ -33,6 +51,19 @@ class Rng {
   /// Advances the generator past the next n raw draws, as n discarded
   /// operator() calls would.
   void discard(std::uint64_t n);
+  /// The same end state as discard(n), in O(log n): applies
+  /// jump_polynomial(n) to the state. The cached normal survives, as it does
+  /// discard().
+  void jump(std::uint64_t n);
+  /// Applies a polynomial to the state: jump(jump_polynomial(n)) is
+  /// discard(n) for any n. Skipping one distance several times computes its
+  /// polynomial once.
+  void jump(const JumpPolynomial& poly);
+
+  /// The four state words, so a kernel can step several generators in
+  /// lockstep (simd::fill_lanes). set_state keeps the cached normal.
+  std::array<std::uint64_t, 4> state() const { return s_; }
+  void set_state(const std::array<std::uint64_t, 4>& s) { s_ = s; }
 
   /// Uniform double in [0, 1).
   double uniform();

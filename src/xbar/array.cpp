@@ -1,12 +1,30 @@
 #include "xbar/array.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "simd/simd.hpp"
 
 namespace cnash::xbar {
+
+namespace {
+
+/// The variability-free device numbers programming derives from an
+/// ArrayConfig alone: the nominal ON and OFF cell reads and the calibrated
+/// response surface of fast sampling. Calibrating costs several series-KCL
+/// solves, so one programming pass calibrates once for all its arrays.
+struct CellCalibration {
+  explicit CellCalibration(const ArrayConfig& config);
+
+  double i_on;      // nominal full-ON cell current
+  double i_off;     // nominal stored-'0' leakage under full bias
+  double don_dvth;  // ON-current sensitivity to ΔV_TH (0 when sigma_vth = 0)
+  double don_dr;    // ON-current sensitivity to ΔR (0 when sigma_r_rel = 0)
+  double off_decade_per_v;  // subthreshold leakage decades per volt of ΔV_TH
+};
 
 CellCalibration::CellCalibration(const ArrayConfig& cfg) {
   const double r_nominal = cfg.variability.r_nominal;
@@ -35,8 +53,6 @@ CellCalibration::CellCalibration(const ArrayConfig& cfg) {
   off_decade_per_v = 1.0 / cfg.fet.subthreshold_swing;
 }
 
-namespace {
-
 /// Linearised ON current of one sampled cell (clamped at zero).
 double fast_on(const CellCalibration& cal, const fefet::CellSample& s,
                double r_nominal) {
@@ -49,190 +65,342 @@ double fast_off(const CellCalibration& cal, const fefet::CellSample& s) {
   return cal.i_off * std::pow(10.0, -s.vth_offset * cal.off_decade_per_v);
 }
 
-}  // namespace
+/// One element block to program: its payoff value and the prefix table, in
+/// whichever array holds the block, that its bundle sums go into.
+struct BlockSlot {
+  std::uint32_t value;
+  double* table;
+};
 
-ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
-                                       const ArrayConfig& config,
-                                       util::Rng& rng)
-    : ProgrammedCrossbar(std::move(mapping), config, CellCalibration(config),
-                         rng) {}
+/// What sampling a block needs besides its slot. `coding` is any of the
+/// programmed arrays' mappings: they share I, t and the cell coding.
+struct Sampler {
+  const CrossbarMapping& coding;
+  const ArrayConfig& config;
+  const CellCalibration& cal;
+};
 
-ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
-                                       const ArrayConfig& config,
-                                       const CellCalibration& cal,
-                                       util::Rng& rng)
-    : mapping_(std::move(mapping)), config_(config), i_on_nominal_(cal.i_on) {
-  const auto& g = mapping_.geometry();
+/// Folds a block's I×I bundle sums into its (I+1)² prefix table, in place:
+/// P[r+1][g+1] = ((bundle + P[r][g+1]) + P[r+1][g]) - P[r][g].
+void write_prefix(double* table, const double* bundle,
+                  std::uint32_t intervals) {
+  const std::size_t dim = intervals + 1;
+  for (std::uint32_t r = 0; r < intervals; ++r)
+    for (std::uint32_t gr = 0; gr < intervals; ++gr)
+      table[(r + 1) * dim + (gr + 1)] = bundle[r * intervals + gr] +
+                                        table[r * dim + (gr + 1)] +
+                                        table[(r + 1) * dim + gr] -
+                                        table[r * dim + gr];
+}
+
+/// The ideal and fault-injection configurations: cell by cell, with the
+/// bernoulli draws interleaved, so a block's draw count depends on outcomes
+/// and the blocks are sampled in order from `rng` itself.
+void program_per_cell(const std::vector<BlockSlot>& blocks, const Sampler& s,
+                      util::Rng& rng) {
+  const MappingGeometry& g = s.coding.geometry();
   const std::uint32_t intervals = g.intervals;
   const std::uint32_t t = g.cells_per_element;
   const std::uint32_t per_cell = g.levels_per_cell - 1;
-  table_dim_ = intervals + 1;
-  block_stride_ = table_dim_ * table_dim_;
-
-  prefix_.assign(g.n * g.m * block_stride_, 0.0);
-
-  // Batched programming: the common configuration (device variability on, no
-  // fault injection) samples all of a block's device deviates up front with
-  // simd::fill_normals and scores whole I×I bundle planes per cell index k
-  // with vector kernels, instead of three libm calls per cell. Deviates are
-  // laid out plane-major (zv[k*B + b] for bundle b = r*I + gr) so both the
-  // linearised fast path and the exact KCL path read the SAME per-cell draws
-  // — the fast-vs-exact statistical-closeness contract is preserved. The
-  // ideal and fault-injection configurations keep the legacy per-cell loop
-  // (they draw bernoullis interleaved per cell).
-  const bool batched = !config_.ideal && config_.stuck_off_rate == 0.0 &&
-                       config_.stuck_on_rate == 0.0;
-  const std::size_t bundles =
-      static_cast<std::size_t>(intervals) * intervals;
-  const std::size_t cells = bundles * t;
-  const fefet::VariabilityParams& var = config_.variability;
-  std::vector<double> zv, zr, zm, bundle_sum;
-  std::vector<std::uint32_t> levels(t);
-  if (batched) {
-    zv.resize(cells);
-    zr.resize(cells);
-    bundle_sum.resize(bundles);
-  }
-
-  for (std::size_t i = 0; i < g.n; ++i) {
-    for (std::size_t j = 0; j < g.m; ++j) {
-      double* table = prefix_.data() + (i * g.m + j) * block_stride_;
-      const std::uint32_t value = mapping_.element(i, j);
-      if (batched) {
-        bool need_mlc = false;
-        std::size_t on_planes = 0;  // planes up to the last ON one
+  const ArrayConfig& config = s.config;
+  const fefet::VariabilityParams& var = config.variability;
+  std::vector<double> bundle(static_cast<std::size_t>(intervals) * intervals);
+  for (const BlockSlot& block : blocks) {
+    // bundle[r*I + gr]: total current of the t cells at (row r, group gr).
+    for (std::uint32_t r = 0; r < intervals; ++r) {
+      for (std::uint32_t gr = 0; gr < intervals; ++gr) {
+        double cell_sum = 0.0;
         for (std::uint32_t k = 0; k < t; ++k) {
-          levels[k] = mapping_.cell_level(value, k);
-          if (levels[k] > 0) on_planes = k + 1;
-          if (var.sigma_mlc_rel > 0.0 && levels[k] > 0 && levels[k] < per_cell)
-            need_mlc = true;
-        }
-        simd::fill_normals(rng, zv.data(), cells);
-        // Only ON planes read zr and zm, so transform each plane-major stream
-        // up to the last ON plane and step the generator over the rest. Every
-        // normal read and the generator's end state are those of a full
-        // fill; as cell_level fills a block's cells in order, no OFF plane
-        // is transformed.
-        const std::size_t on_cells = on_planes * bundles;
-        const auto fill_on_prefix = [&](double* z) {
-          simd::fill_normals(rng, z, on_cells);
-          rng.discard(simd::normal_draws(cells) -
-                      simd::normal_draws(on_cells));
-        };
-        fill_on_prefix(zr.data());
-        if (need_mlc) {
-          zm.resize(cells);
-          fill_on_prefix(zm.data());
-        }
-        std::fill(bundle_sum.begin(), bundle_sum.end(), 0.0);
-        for (std::uint32_t k = 0; k < t; ++k) {
-          const std::uint32_t level = levels[k];
+          const std::uint32_t level = s.coding.cell_level(block.value, k);
           const double frac =
               static_cast<double>(level) / static_cast<double>(per_cell);
-          const double* zvk = zv.data() + k * bundles;
-          const double* zrk = zr.data() + k * bundles;
+          // Fault injection first: a faulty cell ignores its programming.
+          if (config.stuck_off_rate > 0.0 &&
+              rng.bernoulli(config.stuck_off_rate))
+            continue;
+          if (config.stuck_on_rate > 0.0 &&
+              rng.bernoulli(config.stuck_on_rate)) {
+            cell_sum += s.cal.i_on;
+            continue;
+          }
+          if (config.ideal) {
+            cell_sum += level > 0 ? frac * s.cal.i_on : s.cal.i_off;
+            continue;
+          }
+          const fefet::CellSample cs = fefet::sample_cell(var, rng);
           if (level == 0) {
-            simd::off_cell_accumulate(bundle_sum.data(), zvk, bundles,
-                                      cal.i_off,
-                                      -var.sigma_vth * cal.off_decade_per_v);
-          } else if (level == per_cell && !config_.fast_sampling) {
-            // Full-ON binary state: exact series KCL solve per cell, on the
-            // same deviates the fast path would use.
-            for (std::size_t b = 0; b < bundles; ++b) {
-              const double vth = var.sigma_vth * zvk[b];
-              const double rel =
-                  std::clamp(var.sigma_r_rel * zrk[b], -3.0 * var.sigma_r_rel,
-                             3.0 * var.sigma_r_rel);
-              const fefet::Cell1T1R cell(
-                  true, {vth, var.r_nominal * (1.0 + rel)}, config_.fet);
-              bundle_sum[b] += cell.read(true, true, config_.bias);
-            }
+            cell_sum += fast_off(s.cal, cs);
+          } else if (level == per_cell && !config.fast_sampling) {
+            // Full-ON binary state: exact series KCL solve available.
+            const fefet::Cell1T1R cell(true, cs, config.fet);
+            cell_sum += cell.read(true, true, config.bias);
           } else {
             // Full-ON (fast) or intermediate MLC state: clamped ON current
-            // scaled to the level, with the partial-polarization spread that
-            // peaks at mid level and vanishes at full ON.
+            // scaled to the level, with the partial-polarization spread
+            // that peaks at mid level and vanishes at full ON.
+            double i = frac * fast_on(s.cal, cs, var.r_nominal);
             const double mlc_sigma =
                 var.sigma_mlc_rel * 4.0 * frac * (1.0 - frac);
-            const simd::OnCellParams p{cal.i_on,        cal.don_dvth,
-                                       cal.don_dr,      var.sigma_vth,
-                                       var.sigma_r_rel, var.r_nominal,
-                                       frac,            mlc_sigma};
-            simd::on_cell_accumulate(
-                bundle_sum.data(), zvk, zrk,
-                mlc_sigma > 0.0 ? zm.data() + k * bundles : nullptr, bundles,
-                p);
+            if (mlc_sigma > 0.0) i *= 1.0 + rng.normal(0.0, mlc_sigma);
+            cell_sum += std::max(0.0, i);
           }
         }
-        for (std::uint32_t r = 0; r < intervals; ++r) {
-          for (std::uint32_t gr = 0; gr < intervals; ++gr) {
-            const std::size_t idx = (r + 1) * table_dim_ + (gr + 1);
-            table[idx] = bundle_sum[r * intervals + gr] +
-                         table[r * table_dim_ + (gr + 1)] +
-                         table[(r + 1) * table_dim_ + gr] -
-                         table[r * table_dim_ + gr];
-          }
-        }
-        continue;
-      }
-      // cell_sum[r][gr]: total current of the t cells at (row r, group gr).
-      for (std::uint32_t r = 0; r < intervals; ++r) {
-        for (std::uint32_t gr = 0; gr < intervals; ++gr) {
-          double cell_sum = 0.0;
-          for (std::uint32_t k = 0; k < t; ++k) {
-            const std::uint32_t level = mapping_.cell_level(value, k);
-            const double frac =
-                static_cast<double>(level) / static_cast<double>(per_cell);
-            // Fault injection first: a faulty cell ignores its programming.
-            if (config_.stuck_off_rate > 0.0 &&
-                rng.bernoulli(config_.stuck_off_rate))
-              continue;
-            if (config_.stuck_on_rate > 0.0 &&
-                rng.bernoulli(config_.stuck_on_rate)) {
-              cell_sum += i_on_nominal_;
-              continue;
-            }
-            if (config_.ideal) {
-              cell_sum += level > 0 ? frac * i_on_nominal_ : cal.i_off;
-              continue;
-            }
-            const fefet::CellSample s =
-                fefet::sample_cell(config_.variability, rng);
-            if (level == 0) {
-              cell_sum += fast_off(cal, s);
-            } else if (level == per_cell && !config_.fast_sampling) {
-              // Full-ON binary state: exact series KCL solve available.
-              const fefet::Cell1T1R cell(true, s, config_.fet);
-              cell_sum += cell.read(true, true, config_.bias);
-            } else {
-              // Full-ON (fast) or intermediate MLC state: clamped ON current
-              // scaled to the level, with the partial-polarization spread
-              // that peaks at mid level and vanishes at full ON.
-              double i = frac * fast_on(cal, s, var.r_nominal);
-              const double mlc_sigma = config_.variability.sigma_mlc_rel *
-                                       4.0 * frac * (1.0 - frac);
-              if (mlc_sigma > 0.0) i *= 1.0 + rng.normal(0.0, mlc_sigma);
-              cell_sum += std::max(0.0, i);
-            }
-          }
-          // Inclusion-exclusion prefix update.
-          const std::size_t idx = (r + 1) * table_dim_ + (gr + 1);
-          table[idx] = cell_sum + table[r * table_dim_ + (gr + 1)] +
-                       table[(r + 1) * table_dim_ + gr] -
-                       table[r * table_dim_ + gr];
-        }
+        bundle[r * intervals + gr] = cell_sum;
       }
     }
+    write_prefix(block.table, bundle.data(), intervals);
   }
+}
+
+/// How a block of the batched configuration is sampled. Deviates are laid
+/// out plane-major (zv[k*B + b] for bundle b = r*I + gr), one normal stream
+/// each for V_TH (zv), the resistor (zr) and, in blocks with an
+/// intermediate-level plane under sigma_mlc_rel > 0, the MLC spread (zm).
+/// Every stream takes normal_draws(I²t) draws, but only the ON planes read
+/// zr and zm, and as cell_level fills a block's cells in order those are the
+/// first on_planes planes.
+struct BlockPlan {
+  std::size_t on_planes = 0;  // planes up to the last ON one
+  bool mlc = false;
+
+  BlockPlan(const Sampler& s, std::uint32_t value) {
+    const MappingGeometry& g = s.coding.geometry();
+    const std::uint32_t per_cell = g.levels_per_cell - 1;
+    for (std::uint32_t k = 0; k < g.cells_per_element; ++k) {
+      const std::uint32_t level = s.coding.cell_level(value, k);
+      if (level > 0) on_planes = k + 1;
+      if (s.config.variability.sigma_mlc_rel > 0.0 && level > 0 &&
+          level < per_cell)
+        mlc = true;
+    }
+  }
+  std::size_t streams() const { return mlc ? 3 : 2; }
+};
+
+/// Scores one block from its normals: zv holds its I²t V_TH deviates, zr
+/// and (in MLC blocks) zm the first on_planes·I² of their streams. `bundle`
+/// is I² doubles of scratch.
+void score_block(const Sampler& s, const BlockSlot& block, const double* zv,
+                 const double* zr, const double* zm, double* bundle) {
+  const MappingGeometry& g = s.coding.geometry();
+  const std::size_t bundles =
+      static_cast<std::size_t>(g.intervals) * g.intervals;
+  const std::uint32_t per_cell = g.levels_per_cell - 1;
+  const ArrayConfig& config = s.config;
+  const fefet::VariabilityParams& var = config.variability;
+  const CellCalibration& cal = s.cal;
+  std::fill(bundle, bundle + bundles, 0.0);
+  for (std::uint32_t k = 0; k < g.cells_per_element; ++k) {
+    const std::uint32_t level = s.coding.cell_level(block.value, k);
+    const double frac =
+        static_cast<double>(level) / static_cast<double>(per_cell);
+    const double* zvk = zv + k * bundles;
+    const double* zrk = zr + k * bundles;
+    if (level == 0) {
+      simd::off_cell_accumulate(bundle, zvk, bundles, cal.i_off,
+                                -var.sigma_vth * cal.off_decade_per_v);
+    } else if (level == per_cell && !config.fast_sampling) {
+      // Full-ON binary state: exact series KCL solve per cell, on the same
+      // deviates the fast path would use.
+      for (std::size_t b = 0; b < bundles; ++b) {
+        const double vth = var.sigma_vth * zvk[b];
+        const double rel =
+            std::clamp(var.sigma_r_rel * zrk[b], -3.0 * var.sigma_r_rel,
+                       3.0 * var.sigma_r_rel);
+        const fefet::Cell1T1R cell(true, {vth, var.r_nominal * (1.0 + rel)},
+                                   config.fet);
+        bundle[b] += cell.read(true, true, config.bias);
+      }
+    } else {
+      // Full-ON (fast) or intermediate MLC state: clamped ON current scaled
+      // to the level, with the partial-polarization spread that peaks at mid
+      // level and vanishes at full ON.
+      const double mlc_sigma = var.sigma_mlc_rel * 4.0 * frac * (1.0 - frac);
+      const simd::OnCellParams p{cal.i_on,        cal.don_dvth,
+                                 cal.don_dr,      var.sigma_vth,
+                                 var.sigma_r_rel, var.r_nominal,
+                                 frac,            mlc_sigma};
+      simd::on_cell_accumulate(bundle, zvk, zrk,
+                               mlc_sigma > 0.0 ? zm + k * bundles : nullptr,
+                               bundles, p);
+    }
+  }
+  write_prefix(block.table, bundle, g.intervals);
+}
+
+/// The most draws generator lanes buffer at once (4 MiB). Lanes hold
+/// kRngLanes blocks' draws where drawing in order holds one block's
+/// normals; on blocks larger than this allows, lanes' speed is not worth
+/// that memory.
+constexpr std::size_t kMaxLaneDraws = std::size_t{1} << 19;
+
+/// The batched configuration (device variability on, no fault injection):
+/// every block's draw count is known up front. When each of the kRngLanes
+/// lanes gets a block and their scratch fits kMaxLaneDraws, the blocks split
+/// into kRngLanes contiguous ranges and lane l, jumped to the first draw of
+/// its range, samples it while the others sample theirs: block k of every
+/// range is drawn in one lockstep call, then scored from its own lane's
+/// draws. Otherwise the blocks are drawn in order from `rng`. Either way
+/// `rng` ends where drawing in order ends.
+void program_batched(const std::vector<BlockSlot>& blocks, const Sampler& s,
+                     util::Rng& rng) {
+  constexpr std::size_t kLanes = simd::kRngLanes;
+  const MappingGeometry& g = s.coding.geometry();
+  const std::size_t bundles =
+      static_cast<std::size_t>(g.intervals) * g.intervals;
+  const std::size_t cells = bundles * g.cells_per_element;
+  const std::size_t stream = simd::normal_draws(cells);
+  // A plan costs t cell_level calls, so it is recomputed where needed
+  // rather than stored per block.
+  const auto plan = [&](std::size_t b) {
+    return BlockPlan(s, blocks[b].value);
+  };
+  bool any_mlc = false;
+  for (std::size_t b = 0; b < blocks.size() && !any_mlc; ++b)
+    any_mlc = plan(b).mlc;
+  const std::size_t most = (any_mlc ? 3 : 2) * stream;
+  std::vector<double> zv(cells), zr(cells), zm(any_mlc ? cells : 0),
+      bundle(bundles);
+  const auto score = [&](std::size_t b) {
+    score_block(s, blocks[b], zv.data(), zr.data(), zm.data(), bundle.data());
+  };
+
+  if (blocks.size() < kLanes || kLanes * most > kMaxLaneDraws) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      // zr and zm are transformed up to the last ON plane; the generator
+      // steps over the rest of their streams.
+      const BlockPlan p = plan(b);
+      const std::size_t on_cells = p.on_planes * bundles;
+      const auto fill_on_prefix = [&](double* z) {
+        simd::fill_normals(rng, z, on_cells);
+        rng.discard(stream - simd::normal_draws(on_cells));
+      };
+      simd::fill_normals(rng, zv.data(), cells);
+      fill_on_prefix(zr.data());
+      if (p.mlc) fill_on_prefix(zm.data());
+      score(b);
+    }
+    return;
+  }
+
+  // Lane l samples blocks [first[l], first[l+1]). Each lane starts from the
+  // one before it, so equal ranges in a row share one jump polynomial.
+  std::array<std::size_t, kLanes + 1> first;
+  for (std::size_t l = 0; l <= kLanes; ++l)
+    first[l] = blocks.size() * l / kLanes;
+  std::array<util::Rng, kLanes> lanes;
+  lanes[0] = rng;
+  std::uint64_t distance = 0;
+  util::JumpPolynomial poly = util::jump_polynomial(distance);
+  for (std::size_t l = 1; l < kLanes; ++l) {
+    std::uint64_t skip = 0;
+    for (std::size_t b = first[l - 1]; b < first[l]; ++b)
+      skip += plan(b).streams() * stream;
+    if (skip != distance) {
+      distance = skip;
+      poly = util::jump_polynomial(distance);
+    }
+    lanes[l] = lanes[l - 1];
+    lanes[l].jump(poly);
+  }
+
+  // Left uninitialised: a lane writes each draw before it is read.
+  const auto raw =
+      std::make_unique_for_overwrite<std::uint64_t[]>(kLanes * most);
+  std::array<std::uint64_t*, kLanes> out;
+  for (std::size_t l = 0; l < kLanes; ++l) out[l] = raw.get() + l * most;
+  const std::size_t rounds = first[kLanes] - first[kLanes - 1];
+  for (std::size_t k = 0; k < rounds; ++k) {
+    std::array<std::size_t, kLanes> count{};
+    for (std::size_t l = 0; l < kLanes; ++l)
+      if (first[l] + k < first[l + 1])
+        count[l] = plan(first[l] + k).streams() * stream;
+    simd::fill_lanes(lanes.data(), out.data(), count.data());
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if (count[l] == 0) continue;
+      const std::size_t b = first[l] + k;
+      const BlockPlan p = plan(b);
+      const std::size_t on_cells = p.on_planes * bundles;
+      simd::normals_from_draws(out[l], zv.data(), cells);
+      simd::normals_from_draws(out[l] + stream, zr.data(), on_cells);
+      if (p.mlc)
+        simd::normals_from_draws(out[l] + 2 * stream, zm.data(), on_cells);
+      score(b);
+    }
+  }
+  rng = lanes[kLanes - 1];
+}
+
+}  // namespace
+
+ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
+                                       const ArrayConfig& config)
+    : mapping_(std::move(mapping)), config_(config) {
+  const auto& g = mapping_.geometry();
+  table_dim_ = g.intervals + 1;
+  block_stride_ = table_dim_ * table_dim_;
+  prefix_.assign(g.n * g.m * block_stride_, 0.0);
+}
+
+ProgrammedCrossbar::ProgrammedCrossbar(CrossbarMapping mapping,
+                                       const ArrayConfig& config,
+                                       util::Rng& rng)
+    : ProgrammedCrossbar(std::move(mapping), config) {
+  program({this, 1}, rng);
+}
+
+std::vector<ProgrammedCrossbar> ProgrammedCrossbar::program_all(
+    std::vector<CrossbarMapping> mappings, const ArrayConfig& config,
+    util::Rng& rng) {
+  std::vector<ProgrammedCrossbar> arrays;
+  arrays.reserve(mappings.size());
+  for (CrossbarMapping& map : mappings)
+    arrays.push_back(ProgrammedCrossbar(std::move(map), config));
+  if (!arrays.empty()) program(arrays, rng);
+  return arrays;
+}
+
+void ProgrammedCrossbar::program(std::span<ProgrammedCrossbar> arrays,
+                                 util::Rng& rng) {
+  const CrossbarMapping& coding = arrays.front().mapping_;
+  const ArrayConfig& config = arrays.front().config_;
+  const MappingGeometry& shape = coding.geometry();
+  std::vector<BlockSlot> blocks;
+  for (ProgrammedCrossbar& a : arrays) {
+    const MappingGeometry& g = a.mapping_.geometry();
+    if (g.intervals != shape.intervals ||
+        g.cells_per_element != shape.cells_per_element ||
+        g.levels_per_cell != shape.levels_per_cell)
+      throw std::invalid_argument(
+          "ProgrammedCrossbar: arrays programmed together must share I, t "
+          "and levels_per_cell");
+    for (std::size_t i = 0; i < g.n; ++i)
+      for (std::size_t j = 0; j < g.m; ++j)
+        blocks.push_back({a.mapping_.element(i, j),
+                          a.prefix_.data() + (i * g.m + j) * a.block_stride_});
+  }
+
+  const CellCalibration cal(config);
+  const Sampler sampler{coding, config, cal};
+  if (!config.ideal && config.stuck_off_rate == 0.0 &&
+      config.stuck_on_rate == 0.0)
+    program_batched(blocks, sampler, rng);
+  else
+    program_per_cell(blocks, sampler, rng);
 
   // Per-column MV table: the last prefix row (r = I) of every block,
   // transposed so the n line currents of one (j, g) column are contiguous.
-  mv_table_.assign(g.m * table_dim_ * g.n, 0.0);
-  for (std::size_t j = 0; j < g.m; ++j)
-    for (std::size_t gr = 0; gr < table_dim_; ++gr) {
-      double* col = mv_table_.data() + (j * table_dim_ + gr) * g.n;
-      for (std::size_t i = 0; i < g.n; ++i)
-        col[i] = block_table(i, j)[intervals * table_dim_ + gr];
-    }
+  for (ProgrammedCrossbar& a : arrays) {
+    a.i_on_nominal_ = cal.i_on;
+    const MappingGeometry& g = a.mapping_.geometry();
+    a.mv_table_.assign(g.m * a.table_dim_ * g.n, 0.0);
+    for (std::size_t j = 0; j < g.m; ++j)
+      for (std::size_t gr = 0; gr < a.table_dim_; ++gr) {
+        double* col = a.mv_table_.data() + (j * a.table_dim_ + gr) * g.n;
+        for (std::size_t i = 0; i < g.n; ++i)
+          col[i] = a.block_table(i, j)[g.intervals * a.table_dim_ + gr];
+      }
+  }
 }
 
 std::vector<double> ProgrammedCrossbar::read_mv(

@@ -25,6 +25,7 @@
 // robustness experiment.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fefet/cell_1t1r.hpp"
@@ -52,29 +53,19 @@ struct ArrayConfig {
   double stuck_on_rate = 0.0;
 };
 
-/// The variability-free device numbers programming derives from an
-/// ArrayConfig alone: the nominal ON and OFF cell reads and the calibrated
-/// response surface of fast sampling. Calibrating costs several series-KCL
-/// solves, so a tiled chip calibrates once and hands the result to every
-/// tile.
-struct CellCalibration {
-  explicit CellCalibration(const ArrayConfig& config);
-
-  double i_on;      // nominal full-ON cell current
-  double i_off;     // nominal stored-'0' leakage under full bias
-  double don_dvth;  // ON-current sensitivity to ΔV_TH (0 when sigma_vth = 0)
-  double don_dr;    // ON-current sensitivity to ΔR (0 when sigma_r_rel = 0)
-  double off_decade_per_v;  // subthreshold leakage decades per volt of ΔV_TH
-};
-
 class ProgrammedCrossbar {
  public:
   ProgrammedCrossbar(CrossbarMapping mapping, const ArrayConfig& config,
                      util::Rng& rng);
-  /// Same array from a calibration of `config` made beforehand; programs
-  /// bit-identically and consumes the same draws.
-  ProgrammedCrossbar(CrossbarMapping mapping, const ArrayConfig& config,
-                     const CellCalibration& calibration, util::Rng& rng);
+
+  /// Programs one array per mapping from one generator: the same bits and
+  /// draws as constructing them one after another in order, sampled in one
+  /// pass over all their blocks so that many small arrays (a chip's tiles)
+  /// share the sampler's generator lanes. The mappings must share I, t and
+  /// levels_per_cell.
+  static std::vector<ProgrammedCrossbar> program_all(
+      std::vector<CrossbarMapping> mappings, const ArrayConfig& config,
+      util::Rng& rng);
 
   const CrossbarMapping& mapping() const { return mapping_; }
   const ArrayConfig& config() const { return config_; }
@@ -151,6 +142,12 @@ class ProgrammedCrossbar {
   double current_to_value(double current) const;
 
  private:
+  /// An unprogrammed array: zeroed prefix tables, no MV table.
+  ProgrammedCrossbar(CrossbarMapping mapping, const ArrayConfig& config);
+  /// Samples every cell of `arrays` from `rng` (array after array, blocks
+  /// row-major) and builds their MV tables.
+  static void program(std::span<ProgrammedCrossbar> arrays, util::Rng& rng);
+
   double sampled_cell_current(std::size_t row, std::size_t col) const;
   const double* block_table(std::size_t i, std::size_t j) const {
     return prefix_.data() + (i * mapping_.geometry().m + j) * block_stride_;
@@ -158,7 +155,7 @@ class ProgrammedCrossbar {
 
   CrossbarMapping mapping_;
   ArrayConfig config_;
-  double i_on_nominal_;
+  double i_on_nominal_ = 0.0;
   // Flat SoA prefix tables: block (i,j) occupies block_stride_ = (I+1)²
   // doubles starting at (i*m + j) * block_stride_; entry (r,g) sits at
   // r*table_dim_ + g within the block.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,31 @@ TEST(SolverBackend, SynchronousSolveMatchesServiceSubmission) {
             samples_fingerprint(via_service.samples));
   EXPECT_EQ(direct.nash_count, via_service.nash_count);
   EXPECT_EQ(direct.best_objective, via_service.best_objective);
+}
+
+TEST(SolverBackend, BatchLanesNearSizeMaxStillRunsEveryRun) {
+  // The unit count is a ceil division over batch_lanes; (runs + k - 1) / k
+  // wrapped to zero units at k = SIZE_MAX, and both paths returned no
+  // samples without marking the report degraded.
+  SolveRequest req(game::bird_game());
+  req.backend = "exact-sa";
+  req.runs = 4;
+  req.seed = 4243;
+  req.sa.iterations = 300;
+  req.sa.batch_lanes = 1;
+  const std::string one_per_unit = samples_fingerprint(
+      SolverRegistry::global().at("exact-sa").solve(req).samples);
+  req.sa.batch_lanes = std::numeric_limits<std::size_t>::max();
+  SolverService service(ServiceOptions{2});
+  for (const SolveReport& report :
+       {SolverRegistry::global().at("exact-sa").solve(req),
+        service.solve(req)}) {
+    EXPECT_EQ(report.samples.size(), 4u);
+    EXPECT_EQ(report.units_total, 1u);
+    EXPECT_EQ(report.units_completed, 1u);
+    EXPECT_FALSE(report.degraded);
+    EXPECT_EQ(samples_fingerprint(report.samples), one_per_unit);
+  }
 }
 
 TEST(SolverBackend, TiledBackendByteReproducesMonolithicOnSingleTileGames) {

@@ -2,12 +2,14 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/anneal.hpp"
 #include "core/backend.hpp"
 #include "core/engine.hpp"
 #include "game/games.hpp"
+#include "game/random_games.hpp"
 #include "simd/simd.hpp"
 #include "util/rng.hpp"
 
@@ -119,17 +121,36 @@ TEST(BatchedAnneal, BackendReportInvariantInBatchLanes) {
   }
 }
 
-// SIMD dispatch must be invisible: a scalar-forced solve reproduces the
-// vectorized solve byte for byte.
+// SIMD dispatch must be invisible: a solve at every ISA level reproduces the
+// scalar-forced solve byte for byte. Both games program their chips through
+// the crossbar sampler's generator lanes: the bird game's nine blocks give
+// most lanes one block, the 16-action integer game gives each lane 32.
 TEST(BatchedAnneal, BackendReportInvariantUnderForcedScalar) {
-  for (const char* backend : {"exact-sa", "hardware-sa"}) {
-    const SolveRequest req = base_request(backend);
-    ASSERT_TRUE(simd::force_level(simd::IsaLevel::kScalar));
-    const SolveReport scalar = SolverRegistry::global().at(backend).solve(req);
-    ASSERT_TRUE(simd::force_level(simd::max_supported_level()));
-    const SolveReport vec = SolverRegistry::global().at(backend).solve(req);
-    expect_same_report(scalar, vec);
+  util::Rng game_rng(16);
+  SolveRequest wide(game::random_integer_game(16, 16, game_rng));
+  wide.runs = 2;
+  wide.seed = 0x5EED16;
+  wide.sa.iterations = 300;
+  std::vector<SolveRequest> requests;
+  for (const char* backend : {"exact-sa", "hardware-sa", "hardware-sa-tiled"}) {
+    requests.push_back(base_request(backend));
+    if (std::string(backend) != "exact-sa") {
+      wide.backend = backend;
+      requests.push_back(wide);
+    }
   }
+  for (const SolveRequest& req : requests) {
+    const SolverBackend& backend = SolverRegistry::global().at(req.backend);
+    ASSERT_TRUE(simd::force_level(simd::IsaLevel::kScalar));
+    const SolveReport scalar = backend.solve(req);
+    for (const simd::IsaLevel level :
+         {simd::IsaLevel::kAvx2, simd::IsaLevel::kAvx512}) {
+      if (!simd::force_level(level)) continue;
+      SCOPED_TRACE(req.backend + " at " + simd::level_name(level));
+      expect_same_report(scalar, backend.solve(req));
+    }
+  }
+  ASSERT_TRUE(simd::force_level(simd::max_supported_level()));
 }
 
 TEST(BatchedAnneal, ReplicaExchangeIsDeterministic) {

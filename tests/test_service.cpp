@@ -20,6 +20,8 @@
 
 #include "core/service.hpp"
 #include "game/games.hpp"
+#include "game/random_games.hpp"
+#include "util/rng.hpp"
 
 namespace cnash::core {
 namespace {
@@ -119,6 +121,22 @@ TEST(SolverService, BitIdenticalReportsForAnyThreadCountAndInterleaving) {
   EXPECT_EQ(fingerprint(fa.get()), baseline[0]);
   EXPECT_EQ(fingerprint(fb.get()), baseline[1]);
   EXPECT_EQ(fingerprint(fc.get()), baseline[2]);
+}
+
+TEST(SolverService, ChipsProgrammedOnGeneratorLanesMatchAcrossPools) {
+  // A 16-action integer game is large enough for the crossbar sampler's
+  // generator lanes. One run per unit, so four workers program chips at
+  // once; they must give the one-worker report (the tsan job runs this).
+  util::Rng game_rng(1616);
+  const game::BimatrixGame g = game::random_integer_game(16, 16, game_rng);
+  for (const char* backend : {"hardware-sa", "hardware-sa-tiled"}) {
+    SolveRequest req = sa_request(g, backend, /*runs=*/8, 0x1616, 200);
+    req.sa.batch_lanes = 1;
+    const std::string one =
+        fingerprint(SolverService(ServiceOptions{1}).solve(req));
+    EXPECT_EQ(fingerprint(SolverService(ServiceOptions{4}).solve(req)), one)
+        << backend;
+  }
 }
 
 TEST(SolverService, PerJobParallelismCapNeverChangesResults) {

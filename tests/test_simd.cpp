@@ -149,6 +149,57 @@ TEST(SimdKernels, FillNormalsBitIdenticalAcrossLevels) {
   }
 }
 
+// fill_lanes against eight serial Rng::fill streams at every level. Lanes
+// stop at their own counts (one never starts), write nothing past them and
+// end in their serial fill's state, cached normal included.
+TEST(SimdKernels, FillLanesMatchesSerialFillsAtEveryLevel) {
+  const std::size_t counts[kRngLanes] = {1000, 0, 1, 17, 999, 1000, 33, 640};
+  constexpr std::uint64_t kUntouched = 0x5e1f5e1f5e1f5e1fULL;
+  for (const IsaLevel level : available_levels()) {
+    ScopedLevel pin(level);
+    ASSERT_TRUE(pin.ok());
+    std::vector<util::Rng> lanes, serial;
+    std::vector<std::vector<std::uint64_t>> out(kRngLanes), ref(kRngLanes);
+    std::uint64_t* dst[kRngLanes];
+    for (std::size_t l = 0; l < kRngLanes; ++l) {
+      lanes.emplace_back(0xF1 + l);
+      lanes.back().normal();  // leaves a cached normal behind
+      serial.push_back(lanes.back());
+      out[l].assign(1024, kUntouched);
+      dst[l] = out[l].data();
+      ref[l].resize(counts[l]);
+      serial[l].fill(ref[l].data(), counts[l]);
+    }
+    fill_lanes(lanes.data(), dst, counts);
+    for (std::size_t l = 0; l < kRngLanes; ++l) {
+      const std::vector<std::uint64_t> written(out[l].begin(),
+                                               out[l].begin() + counts[l]);
+      EXPECT_EQ(written, ref[l]) << level_name(level) << " lane " << l;
+      for (std::size_t i = counts[l]; i < out[l].size(); ++i)
+        ASSERT_EQ(out[l][i], kUntouched) << level_name(level) << " lane " << l;
+      EXPECT_EQ(lanes[l].state(), serial[l].state())
+          << level_name(level) << " lane " << l;
+      EXPECT_EQ(lanes[l].normal(), serial[l].normal());
+      EXPECT_EQ(lanes[l](), serial[l]());
+    }
+  }
+}
+
+// normals_from_draws on draws taken beforehand is fill_normals, odd counts
+// included.
+TEST(SimdKernels, NormalsFromDrawsMatchFillNormals) {
+  for (const std::size_t n : {1, 2, 255, 256, 257, 1001}) {
+    util::Rng filled(0xAB + n), drawn(0xAB + n);
+    std::vector<double> ref(n), out(n);
+    fill_normals(filled, ref.data(), n);
+    std::vector<std::uint64_t> raw(normal_draws(n));
+    drawn.fill(raw.data(), raw.size());
+    normals_from_draws(raw.data(), out.data(), n);
+    expect_bitwise_equal(out, ref, "normals_from_draws");
+    EXPECT_EQ(filled(), drawn());
+  }
+}
+
 TEST(SimdKernels, DeviceSamplingKernelsBitIdenticalAcrossLevels) {
   const std::size_t n = 333;
   util::Rng rng(0xD1CE);

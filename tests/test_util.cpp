@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -154,6 +156,65 @@ TEST(Rng, DiscardMatchesRepeatedDraws) {
     EXPECT_EQ(skip.normal(), serial.normal()) << "n=" << n;
     for (int i = 0; i < 16; ++i) EXPECT_EQ(skip(), serial()) << "n=" << n;
   }
+}
+
+TEST(Rng, JumpMatchesDiscard) {
+  for (const std::uint64_t n : {0, 1, 2, 255, 256, 257, 1000003}) {
+    // jump(n) steps short distances, so the polynomial is applied directly
+    // too, at every distance.
+    Rng jumped(33), applied(33), stepped(33);
+    jumped.normal();
+    applied.normal();
+    stepped.normal();
+    jumped.jump(n);
+    applied.jump(jump_polynomial(n));
+    stepped.discard(n);
+    EXPECT_EQ(jumped.state(), stepped.state()) << "n=" << n;
+    EXPECT_EQ(applied.state(), stepped.state()) << "n=" << n;
+    const double cached = stepped.normal();
+    EXPECT_EQ(jumped.normal(), cached) << "n=" << n;
+    EXPECT_EQ(applied.normal(), cached) << "n=" << n;
+    for (int i = 0; i < 16; ++i) EXPECT_EQ(jumped(), stepped()) << "n=" << n;
+  }
+}
+
+TEST(Rng, JumpComposes) {
+  const std::pair<std::uint64_t, std::uint64_t> splits[] = {
+      {300, 700}, {1, 4095}, {123457, 98765}, {1ULL << 40, (1ULL << 40) + 3}};
+  for (const auto& [a, b] : splits) {
+    Rng twice(34), once(34);
+    twice.jump(a);
+    twice.jump(b);
+    once.jump(a + b);
+    EXPECT_EQ(twice.state(), once.state()) << a << " + " << b;
+  }
+}
+
+TEST(Rng, JumpPolynomialMatchesPublishedJumps) {
+  // P itself: the state map satisfies P(A) = 0, so summing A^k·s over P's
+  // coefficients (x^256 included) cancels for any state s.
+  Rng rng(35);
+  std::array<std::uint64_t, 4> sum{};
+  for (std::size_t k = 0; k <= 256; ++k) {
+    const bool coefficient =
+        k == 256 || ((kXoshiroCharPoly[k / 64] >> (k % 64)) & 1) != 0;
+    if (coefficient)
+      for (std::size_t w = 0; w < 4; ++w) sum[w] ^= rng.state()[w];
+    rng();
+  }
+  EXPECT_EQ(sum, (std::array<std::uint64_t, 4>{}));
+  // Blackman & Vigna's jump() and long_jump() advance by 2^128 and 2^192.
+  EXPECT_EQ(jump_polynomial(1, 128),
+            (std::array<std::uint64_t, 4>{
+                0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL}));
+  EXPECT_EQ(jump_polynomial(1, 192),
+            (std::array<std::uint64_t, 4>{
+                0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
+                0x77710069854ee241ULL, 0x39109bb02acbe635ULL}));
+  // Below degree 256 no reduction happens: x^n is one bit.
+  EXPECT_EQ(jump_polynomial(200), (std::array<std::uint64_t, 4>{
+                                      0, 0, 0, 1ULL << (200 - 192)}));
 }
 
 TEST(RunningStats, EmptyIsZero) {

@@ -348,6 +348,123 @@ TEST(ArrayPin, MultiTileChipCurrentsArePinned) {
   EXPECT_EQ(got, expected) << "got " << hex_list(got);
 }
 
+/// FNV-1a over the bits of `values`, folded into `h`.
+std::uint64_t fold_bits(std::uint64_t h, const std::vector<double>& values) {
+  for (const double x : values) {
+    std::uint64_t b = bits(x);
+    for (int k = 0; k < 8; ++k, b >>= 8)
+      h = (h ^ (b & 0xff)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Programs a 12×12 game (payoffs 0..7) at I = 8 on tiles of the given size
+/// and returns the tile count, a digest of every tile's partial reads at
+/// three activations, and the generator's next draw. Its 144 blocks give each
+/// of the eight sampling lanes 18 of them. With 4-level cells every element
+/// not divisible by 3 has an intermediate-level plane, so blocks consume
+/// uneven draw counts.
+std::vector<std::uint64_t> program_tiled_and_digest(std::uint32_t levels,
+                                                    std::size_t tile_rows,
+                                                    std::size_t tile_cols) {
+  const la::Matrix payoff{{2, 7, 7, 7, 5, 6, 2, 1, 7, 3, 3, 6},
+                          {3, 2, 7, 7, 1, 2, 7, 7, 0, 7, 0, 5},
+                          {3, 1, 1, 4, 2, 0, 4, 7, 3, 4, 7, 3},
+                          {0, 3, 3, 4, 4, 2, 6, 6, 4, 2, 7, 5},
+                          {1, 1, 3, 3, 0, 1, 2, 0, 5, 3, 7, 1},
+                          {6, 3, 7, 5, 7, 1, 3, 5, 5, 0, 7, 6},
+                          {6, 4, 1, 5, 1, 7, 6, 5, 3, 0, 6, 1},
+                          {4, 5, 7, 5, 1, 2, 6, 0, 0, 7, 2, 6},
+                          {0, 1, 3, 1, 4, 7, 4, 2, 6, 3, 0, 7},
+                          {5, 1, 3, 7, 4, 6, 3, 6, 6, 7, 3, 2},
+                          {5, 1, 7, 6, 7, 6, 4, 1, 6, 7, 5, 5},
+                          {3, 2, 7, 7, 4, 6, 5, 5, 7, 4, 7, 5}};
+  const std::uint32_t I = 8;
+  util::Rng rng(5000 + 10 * levels + tile_rows);
+  const chip::TiledCrossbar chip(payoff, I, 0, levels, ArrayConfig{}, tile_rows,
+                                 tile_cols, rng);
+  const std::size_t tiles = chip.partition().num_tiles();
+  const std::size_t grid_cols = chip.partition().grid_cols();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::vector<std::uint32_t> p(12), q(12);
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    for (std::size_t i = 0; i < 12; ++i) {
+      p[i] = k == 0 ? I : (i * (k + 2)) % (I + 1);
+      q[i] = k == 0 ? I : (i * (k + 4) + 1) % (I + 1);
+    }
+    std::vector<double> vmv(tiles), mv(grid_cols * 12);
+    chip.read_vmv_partials(p.data(), q.data(), vmv.data());
+    chip.read_mv_partials(q.data(), mv.data());
+    h = fold_bits(fold_bits(h, vmv), mv);
+  }
+  return {tiles, h, rng()};
+}
+
+TEST(ArrayPin, ChipsWithManyBlocksPerSamplingLaneArePinned) {
+  struct Case {
+    std::uint32_t levels;
+    std::size_t tile_rows, tile_cols;
+    std::vector<std::uint64_t> expected;  // tiles, digest, next draw
+  };
+  // One tile, then 16×120 tiles: 2×2 binary blocks (8×56 cells) or 2×5
+  // 4-level blocks (8×24 cells) each, so lane boundaries fall inside tiles.
+  const Case cases[] = {
+      {2, 96, 672, {0x1ULL, 0xdb16d70c086bedbaULL, 0x1f9c63dc230071c2ULL}},
+      {2, 16, 120, {0x24ULL, 0xd4a8cd3b34426819ULL, 0x2b700197b875f091ULL}},
+      {4, 96, 672, {0x1ULL, 0xc1fc6f8be47f9f5aULL, 0x9eedca7e0058363fULL}},
+      {4, 16, 120, {0x12ULL, 0xc42b9bbb46e38e94ULL, 0xd9225d1ba30dcf53ULL}},
+  };
+  for (const Case& c : cases) {
+    const std::vector<std::uint64_t> got =
+        program_tiled_and_digest(c.levels, c.tile_rows, c.tile_cols);
+    EXPECT_EQ(got, c.expected)
+        << "levels=" << c.levels << " tiles " << c.tile_rows << "x"
+        << c.tile_cols << "\n  got " << hex_list(got);
+  }
+}
+
+TEST(ArrayPin, LargeBlocksArePinned) {
+  // The sampler buffers eight blocks' draws only when every lane gets a
+  // block and the eight fit 2^19 draws; other arrays are drawn in order.
+  // Both sides of each condition give the parent's bits: four 2×256²-cell
+  // blocks, then nine blocks whose lane scratch is exactly at the bound
+  // (I = 128 binary, I = 147 with 4-level cells and an MLC stream) and one
+  // interval over it.
+  const la::Matrix two{{2, 0}, {1, 2}};
+  const la::Matrix three{{2, 0, 1}, {1, 2, 0}, {0, 1, 2}};
+  struct Case {
+    const la::Matrix& payoff;
+    std::uint32_t intervals, levels;
+    std::vector<std::uint64_t> expected;  // digest, next draw
+  };
+  const Case cases[] = {
+      {two, 256, 2, {0xd5bc31605d04ecdfULL, 0x8b3558b364d46287ULL}},
+      {three, 128, 2, {0x5f5b74fec2b3fea0ULL, 0xf5358fe12500397bULL}},
+      {three, 129, 2, {0xc21dbace39689298ULL, 0x7e06e2b1e14fc47dULL}},
+      {three, 147, 4, {0x10b1eb580ea6ca70ULL, 0x176e5291396f7b46ULL}},
+      {three, 148, 4, {0xafefab898e9cc81bULL, 0xf1f644b8e2e7cfa1ULL}},
+  };
+  for (const Case& c : cases) {
+    const std::uint32_t I = c.intervals;
+    util::Rng rng(7000 + I + c.levels);
+    const ProgrammedCrossbar xb(CrossbarMapping(c.payoff, I, 0, c.levels),
+                                ArrayConfig{}, rng);
+    const std::size_t n = c.payoff.rows(), m = c.payoff.cols();
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint32_t k = 0; k < 3; ++k) {
+      std::vector<std::uint32_t> p(n), q(m);
+      for (std::size_t i = 0; i < n; ++i)
+        p[i] = k == 0 ? I : (i * 37 + k * 11) % (I + 1);
+      for (std::size_t j = 0; j < m; ++j)
+        q[j] = k == 0 ? I : (j * 53 + k * 29 + 1) % (I + 1);
+      h = fold_bits(fold_bits(h, {xb.read_vmv(p, q)}), xb.read_mv(q));
+    }
+    const std::vector<std::uint64_t> got{h, rng()};
+    EXPECT_EQ(got, c.expected) << "I=" << I << " levels=" << c.levels
+                               << "\n  got " << hex_list(got);
+  }
+}
+
 TEST(Adc, QuantizeReconstructWithinLsb) {
   AdcConfig cfg;
   cfg.bits = 8;
