@@ -423,13 +423,13 @@ TEST(ArrayPin, ChipsWithManyBlocksPerSamplingLaneArePinned) {
   }
 }
 
-TEST(ArrayPin, LargeBlocksArePinned) {
+TEST(ArrayPin, BothSidesOfTheLaneConditionsArePinned) {
   // The sampler buffers eight blocks' draws only when every lane gets a
   // block and the eight fit 2^19 draws; other arrays are drawn in order.
-  // Both sides of each condition give the parent's bits: four 2×256²-cell
-  // blocks, then nine blocks whose lane scratch is exactly at the bound
-  // (I = 128 binary, I = 147 with 4-level cells and an MLC stream) and one
-  // interval over it.
+  // Both sides of each condition give the parent's bits: four blocks, small
+  // and 2×256² cells; nine small blocks; nine blocks whose lane scratch is
+  // exactly at the bound (I = 128 binary, I = 147 with 4-level cells and an
+  // MLC stream) and one interval over it.
   const la::Matrix two{{2, 0}, {1, 2}};
   const la::Matrix three{{2, 0, 1}, {1, 2, 0}, {0, 1, 2}};
   struct Case {
@@ -438,7 +438,9 @@ TEST(ArrayPin, LargeBlocksArePinned) {
     std::vector<std::uint64_t> expected;  // digest, next draw
   };
   const Case cases[] = {
+      {two, 12, 2, {0x229fa9cca02efdf1ULL, 0x4b94e3497e4db496ULL}},
       {two, 256, 2, {0xd5bc31605d04ecdfULL, 0x8b3558b364d46287ULL}},
+      {three, 12, 2, {0xdf366cba29c0de62ULL, 0x28c73536d9e09153ULL}},
       {three, 128, 2, {0x5f5b74fec2b3fea0ULL, 0xf5358fe12500397bULL}},
       {three, 129, 2, {0xc21dbace39689298ULL, 0x7e06e2b1e14fc47dULL}},
       {three, 147, 4, {0x10b1eb580ea6ca70ULL, 0x176e5291396f7b46ULL}},
