@@ -15,7 +15,6 @@
 // `bench_table1_success_rate 5000 --threads 8`).
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,145 +29,11 @@
 #include "game/games.hpp"
 #include "game/support_enum.hpp"
 #include "qubo/dwave_proxy.hpp"
+#include "util/build_info.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
-// Git revision baked in by CMake so every BENCH_*.json is attributable to a
-// commit when archived by CI.
-#ifndef CNASH_GIT_SHA
-#define CNASH_GIT_SHA "unknown"
-#endif
-
 namespace cnash::bench {
-
-// ---- Machine-readable bench output (--json <path>) --------------------------
-//
-// Every bench can serialise its headline numbers (name, config, wall clock,
-// iteration throughput, per-instance results) into a BENCH_*.json file so the
-// perf trajectory is tracked across PRs by tooling instead of eyeballs.
-
-/// Minimal ordered JSON tree: objects keep insertion order, numbers print
-/// with round-trip precision. Only what the benches need — no parsing.
-class Json {
- public:
-  Json& set(const std::string& key, double v) {
-    return child(key, make_number(v));
-  }
-  Json& set(const std::string& key, std::size_t v) {
-    return set(key, static_cast<double>(v));
-  }
-  Json& set(const std::string& key, int v) {
-    return set(key, static_cast<double>(v));
-  }
-  Json& set(const std::string& key, const std::string& v) {
-    Json j;
-    j.type_ = Type::kString;
-    j.str_ = v;
-    return child(key, std::move(j));
-  }
-  Json& set(const std::string& key, const char* v) {
-    return set(key, std::string(v));
-  }
-  Json& set(const std::string& key, bool v) {
-    Json j;
-    j.type_ = Type::kBool;
-    j.flag_ = v;
-    return child(key, std::move(j));
-  }
-  /// Nested object / array members (created on demand).
-  Json& obj(const std::string& key) { return member(key, Type::kObject); }
-  Json& arr(const std::string& key) { return member(key, Type::kArray); }
-  /// Appends an object element to an array and returns it.
-  Json& push() {
-    Json j;
-    j.type_ = Type::kObject;
-    children_.emplace_back("", std::move(j));
-    return children_.back().second;
-  }
-
-  std::string dump(int depth = 0) const {
-    switch (type_) {
-      case Type::kNumber: {
-        // Infinite TTS (zero success rate) and the like have no JSON
-        // representation — emit null so the artifact stays parseable.
-        if (!std::isfinite(num_)) return "null";
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", num_);
-        return buf;
-      }
-      case Type::kBool:
-        return flag_ ? "true" : "false";
-      case Type::kString:
-        return quote(str_);
-      case Type::kObject:
-      case Type::kArray: {
-        const bool is_obj = type_ == Type::kObject;
-        std::string out(is_obj ? "{" : "[");
-        for (std::size_t i = 0; i < children_.size(); ++i) {
-          out += i ? ",\n" : "\n";
-          out.append((depth + 1) * 2, ' ');
-          if (is_obj) {
-            out += quote(children_[i].first);
-            out += ": ";
-          }
-          out += children_[i].second.dump(depth + 1);
-        }
-        if (!children_.empty()) {
-          out += '\n';
-          out.append(depth * 2, ' ');
-        }
-        out += is_obj ? '}' : ']';
-        return out;
-      }
-    }
-    return "null";
-  }
-
- private:
-  enum class Type { kObject, kArray, kNumber, kString, kBool };
-
-  static Json make_number(double v) {
-    Json j;
-    j.type_ = Type::kNumber;
-    j.num_ = v;
-    return j;
-  }
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out += c;
-    }
-    out += '"';
-    return out;
-  }
-  Json& child(const std::string& key, Json&& j) {
-    for (auto& kv : children_)
-      if (kv.first == key) {
-        kv.second = std::move(j);
-        return *this;
-      }
-    children_.emplace_back(key, std::move(j));
-    return *this;
-  }
-  Json& member(const std::string& key, Type t) {
-    for (auto& kv : children_)
-      if (kv.first == key) return kv.second;
-    Json j;
-    j.type_ = t;
-    children_.emplace_back(key, std::move(j));
-    return children_.back().second;
-  }
-
-  Type type_ = Type::kObject;
-  double num_ = 0.0;
-  bool flag_ = false;
-  std::string str_;
-  std::vector<std::pair<std::string, Json>> children_;
-};
 
 struct InstanceEvaluation {
   game::BenchmarkInstance instance;
@@ -228,11 +93,13 @@ inline CliOptions parse_cli(int argc, char** argv) {
   return cli;
 }
 
-/// Scoped JSON report: construct at bench start, fill root() with results,
-/// call finish() last. Writes BENCH_<name>.json under --json <path> (a file
-/// path, or a directory to use the default name); without --json it is a
-/// no-op. `wall_clock_s` covers construct→finish; pass the total iteration
-/// count (e.g. SA runs) to also record throughput.
+/// Machine-readable bench output (--json <path>): every bench serialises its
+/// headline numbers into a BENCH_<name>.json util::Json document, so the
+/// perf trajectory is tracked across commits by tooling instead of eyeballs.
+/// Construct at bench start, fill root() with results, call finish() last.
+/// --json takes a file path, or a directory to use the default name; without
+/// --json it is a no-op. `wall_clock_s` covers construct→finish; pass the
+/// total iteration count (e.g. SA runs) to also record throughput.
 class JsonReport {
  public:
   JsonReport(std::string name, const CliOptions& cli)
@@ -240,17 +107,18 @@ class JsonReport {
         path_(cli.json_path),
         start_(std::chrono::steady_clock::now()) {
     root_.set("bench", name_);
-    root_.set("git_sha", CNASH_GIT_SHA);
-    Json& cfg = root_.obj("config");
+    root_.set("git_sha", util::build_git_sha());
+    util::Json cfg = util::Json::object();
     cfg.set("runs", cli.runs);
     cfg.set("threads", cli.threads);
     const unsigned hw = std::thread::hardware_concurrency();
     cfg.set("threads_resolved",
             cli.threads > 0 ? cli.threads
                             : static_cast<std::size_t>(hw > 0 ? hw : 1));
+    root_.set("config", std::move(cfg));
   }
 
-  Json& root() { return root_; }
+  util::Json& root() { return root_; }
 
   bool finish(double iterations = 0.0) {
     if (path_.empty()) return true;
@@ -274,7 +142,7 @@ class JsonReport {
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       return false;
     }
-    std::string text = root_.dump();
+    std::string text = root_.pretty(2);
     text += '\n';
     std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
@@ -286,15 +154,8 @@ class JsonReport {
   std::string name_;
   std::string path_;
   std::chrono::steady_clock::time_point start_;
-  Json root_;
+  util::Json root_ = util::Json::object();
 };
-
-/// Kept for drivers that only take a run count.
-inline std::size_t runs_from_argv(int argc, char** argv,
-                                  std::size_t default_runs) {
-  const CliOptions cli = parse_cli(argc, argv);
-  return cli.runs > 0 ? cli.runs : default_runs;
-}
 
 inline InstanceEvaluation evaluate_instance(
     const game::BenchmarkInstance& inst, std::size_t runs,
@@ -345,22 +206,25 @@ inline std::size_t default_runs_for(std::size_t instance_index) {
   return instance_index == 2 ? 60 : 200;
 }
 
-/// One-line JSON serialisation of an instance evaluation, shared by the
-/// solver-comparison benches.
-inline void report_instance(Json& node, const InstanceEvaluation& ev) {
+/// JSON node for one instance evaluation, shared by the solver-comparison
+/// benches.
+inline util::Json report_instance(const InstanceEvaluation& ev) {
+  util::Json node = util::Json::object();
   node.set("game", ev.instance.game.name());
   node.set("runs", ev.runs);
   node.set("ground_truth_ne", ev.ground_truth.size());
   auto solver = [&](const std::string& key, const char* backend,
                     const core::SolverReport& r) {
-    Json& s = node.obj(key);
+    util::Json s = util::Json::object();
     s.set("backend", backend);
     s.set("success_rate", r.success_rate());
     s.set("distinct_found", r.distinct_found());
+    node.set(key, std::move(s));
   };
   solver("cnash", "hardware-sa", ev.cnash);
   solver("dwave_2000q", "dwave-2000q6", ev.dwave_2000q);
   solver("dwave_advantage", "dwave-advantage41", ev.dwave_advantage);
+  return node;
 }
 
 }  // namespace cnash::bench

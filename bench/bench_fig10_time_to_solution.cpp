@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   bench::JsonReport report("fig10_time_to_solution", cli);
   std::size_t total_runs = 0;
   const auto instances = game::paper_benchmarks();
+  util::Json instances_json = util::Json::array();
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const auto& inst = instances[i];
     const std::size_t runs =
@@ -67,12 +68,13 @@ int main(int argc, char** argv) {
         tts_adv, ref.speedup_advantage);
     add("C-Nash (this work)", ev.cnash.success_rate(), cnash_tts, 1.0);
 
-    bench::Json& node = report.root().arr("instances").push();
-    bench::report_instance(node, ev);
+    util::Json node = bench::report_instance(ev);
     node.set("cnash_tts_s", cnash_tts);
     node.set("dwave_2000q_tts_s", tts_2000);
     node.set("dwave_advantage_tts_s", tts_adv);
+    instances_json.push(std::move(node));
   }
+  report.root().set("instances", std::move(instances_json));
   std::printf("%s\n", table.pretty().c_str());
   std::printf(
       "C-Nash TTS = SA iterations x iteration latency (1 MHz controller, "
@@ -93,7 +95,8 @@ int main(int argc, char** argv) {
   const double target = 0.5;
   util::Table re_table(
       {"SA iterations", "plain SA success", "replica-exchange success"});
-  bench::Json& re_node = report.root().obj("replica_exchange");
+  util::Json re_node = util::Json::object();
+  util::Json ladder = util::Json::array();
   re_node.set("game", "Coordination-64");
   re_node.set("intervals", 4.0);
   re_node.set("target_success", target);
@@ -116,14 +119,16 @@ int main(int argc, char** argv) {
     if (re_first == 0 && rs >= target) re_first = iters;
     re_table.add_row({util::Table::num(static_cast<double>(iters), 0),
                       core::percent(ps), core::percent(rs)});
-    bench::Json& row = re_node.arr("ladder").push();
+    util::Json& row = ladder.push(util::Json::object());
     row.set("iterations", static_cast<double>(iters));
     row.set("plain_success", ps);
     row.set("replica_exchange_success", rs);
     std::fprintf(stderr, "re ladder %zu: plain %.2f re %.2f\n", iters, ps, rs);
   }
+  re_node.set("ladder", std::move(ladder));
   re_node.set("plain_first_success_iters", static_cast<double>(plain_first));
   re_node.set("re_first_success_iters", static_cast<double>(re_first));
+  report.root().set("replica_exchange", std::move(re_node));
   std::printf("%s\n", re_table.pretty().c_str());
   auto rung = [](std::size_t it) {
     return it == 0 ? std::string("> 256000")

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   bench::JsonReport report("fig8_solution_distribution", cli);
   std::size_t total_runs = 0;
   const auto instances = game::paper_benchmarks();
+  util::Json instances_json = util::Json::array();
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const std::size_t runs =
         cli.runs > 0 ? cli.runs : bench::default_runs_for(i);
@@ -21,10 +22,12 @@ int main(int argc, char** argv) {
                  instances[i].game.name().c_str(), runs);
     const auto ev = bench::evaluate_instance(instances[i], runs, cli.threads);
     total_runs += 3 * runs;
-    bench::Json& node = report.root().arr("instances").push();
-    bench::report_instance(node, ev);
-    node.obj("cnash").set("mixed_fraction", ev.cnash.mixed_fraction());
-    node.obj("cnash").set("error_fraction", ev.cnash.error_fraction());
+    util::Json node = bench::report_instance(ev);
+    util::Json cnash = node.at("cnash");
+    cnash.set("mixed_fraction", ev.cnash.mixed_fraction());
+    cnash.set("error_fraction", ev.cnash.error_fraction());
+    node.set("cnash", std::move(cnash));
+    instances_json.push(std::move(node));
 
     std::printf("--- (%c) %s ---\n", static_cast<char>('a' + i),
                 instances[i].game.name().c_str());
@@ -39,6 +42,7 @@ int main(int argc, char** argv) {
     add("C-Nash (this work)", ev.cnash);
     std::printf("%s\n", table.pretty().c_str());
   }
+  report.root().set("instances", std::move(instances_json));
   std::printf(
       "Paper shape: only C-Nash reports a non-zero mixed-NE share; the\n"
       "S-QUBO solvers are structurally pure-only and their error share grows\n"

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   bench::JsonReport report("fig9_distinct_solutions", cli);
   std::size_t total_runs = 0;
   const auto instances = game::paper_benchmarks();
+  util::Json instances_json = util::Json::array();
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const std::size_t runs =
         cli.runs > 0 ? cli.runs : bench::default_runs_for(i);
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
                  instances[i].game.name().c_str(), runs);
     const auto ev = bench::evaluate_instance(instances[i], runs, cli.threads);
     total_runs += 3 * runs;
-    bench::report_instance(report.root().arr("instances").push(), ev);
+    instances_json.push(bench::report_instance(ev));
     auto frac = [&](const core::SolverReport& r) {
       return std::to_string(r.distinct_found()) + "/" +
              std::to_string(r.target());
@@ -36,6 +37,7 @@ int main(int argc, char** argv) {
                    frac(ev.cnash),
                    std::to_string(instances[i].paper_target_equilibria)});
   }
+  report.root().set("instances", std::move(instances_json));
   std::printf("%s\n", table.pretty().c_str());
   std::printf(
       "Paper shape: C-Nash discovers every target solution (3/3, 6/6, 25/25)\n"

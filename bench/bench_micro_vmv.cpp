@@ -349,11 +349,11 @@ BENCHMARK(BM_SaReplicaExchangeEnsemble)->Unit(benchmark::kMicrosecond);
 /// Console reporter that also captures every run for BENCH_micro_vmv.json.
 class JsonCaptureReporter : public benchmark::ConsoleReporter {
  public:
-  explicit JsonCaptureReporter(bench::Json* out) : out_(out) {}
+  explicit JsonCaptureReporter(util::Json* out) : out_(out) {}
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& r : reports) {
       if (r.error_occurred) continue;
-      bench::Json& node = out_->arr("benchmarks").push();
+      util::Json& node = out_->push(util::Json::object());
       node.set("name", r.benchmark_name());
       node.set("real_time_ns", r.GetAdjustedRealTime());
       node.set("cpu_time_ns", r.GetAdjustedCPUTime());
@@ -364,7 +364,7 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
   }
 
  private:
-  bench::Json* out_;
+  util::Json* out_;  // the "benchmarks" array
 };
 
 }  // namespace
@@ -381,9 +381,11 @@ int main(int argc, char** argv) {
   bench::JsonReport report("micro_vmv", cli);
   report.root().set("simd_active_level",
                     simd::level_name(simd::active_level()));
-  JsonCaptureReporter reporter(&report.root());
+  util::Json benchmarks = util::Json::array();
+  JsonCaptureReporter reporter(&benchmarks);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  report.root().set("benchmarks", std::move(benchmarks));
   report.finish();
   return 0;
 }

@@ -59,6 +59,7 @@ int main(int argc, char** argv) {
 
   const core::CNashTimingModel timing;
   util::Rng game_rng(4242);
+  util::Json size_sweep = util::Json::array();
   for (const std::size_t n : {2u, 3u, 4u, 5u, 6u}) {
     // Integer diagonal payoffs keep the crossbar mapping exact.
     game::BimatrixGame g = [&] {
@@ -106,13 +107,14 @@ int main(int argc, char** argv) {
                        std::to_string(gt.size()),
                    std::isfinite(tts) ? util::Table::num(tts, 4) : "-",
                    core::percent(dr.success_rate())});
-    bench::Json& node = report.root().arr("size_sweep").push();
+    util::Json& node = size_sweep.push(util::Json::object());
     node.set("actions", n);
     node.set("backend", "hardware-sa");
     node.set("cnash_success_rate", r.success_rate());
     node.set("dwave_advantage_success_rate", dr.success_rate());
     node.set("cnash_tts_s", tts);
   }
+  report.root().set("size_sweep", std::move(size_sweep));
   std::printf("%s\n", table.pretty().c_str());
   std::printf(
       "Shape: C-Nash success decays gently with size while the S-QUBO proxy\n"
@@ -149,18 +151,20 @@ int main(int argc, char** argv) {
     sweep.push_back(threads);
   sweep.push_back(max_threads);  // always measure the requested maximum
   double t1 = 0.0;
+  util::Json thread_sweep = util::Json::array();
   for (const std::size_t threads : sweep) {
     const double dt = seconds_to_solve(make_request(threads));
     if (threads == 1) t1 = dt;
     scaling.add_row({std::to_string(threads), util::Table::num(dt, 3),
                      util::Table::num(t1 / dt, 2) + "X",
                      util::Table::num(batch / dt, 1)});
-    bench::Json& node = report.root().arr("thread_sweep").push();
+    util::Json& node = thread_sweep.push(util::Json::object());
     node.set("backend", "hardware-sa");
     node.set("threads", threads);
     node.set("wall_clock_s", dt);
     node.set("runs_per_sec", batch / dt);
   }
+  report.root().set("thread_sweep", std::move(thread_sweep));
   std::printf("%s\n", scaling.pretty().c_str());
   std::printf(
       "Expected: near-linear speedup to the physical core count (runs are\n"
@@ -175,6 +179,7 @@ int main(int argc, char** argv) {
   util::Table hw({"actions", "SA iters", "full (s)", "incremental (s)",
                   "speedup", "Δ objective"});
   util::Rng hw_game_rng(7311);
+  util::Json hw_path_sweep = util::Json::array();
   for (const std::size_t n : {8u, 16u, 32u, 64u, 96u}) {
     game::BimatrixGame g = [&] {
       la::Matrix a(n, n, 0.0);
@@ -207,7 +212,7 @@ int main(int argc, char** argv) {
                 util::Table::num(dt_full, 3), util::Table::num(dt_inc, 3),
                 util::Table::num(dt_full / dt_inc, 1) + "X",
                 util::Table::num(std::abs(f_full - f_inc), 6)});
-    bench::Json& node = report.root().arr("hw_path_sweep").push();
+    util::Json& node = hw_path_sweep.push(util::Json::object());
     node.set("actions", n);
     node.set("sa_iterations", sa.iterations);
     node.set("full_wall_clock_s", dt_full);
@@ -215,6 +220,7 @@ int main(int argc, char** argv) {
     node.set("speedup", dt_full / dt_inc);
     node.set("iters_per_sec_incremental", sa.iterations / dt_inc);
   }
+  report.root().set("hw_path_sweep", std::move(hw_path_sweep));
   std::printf("%s\n", hw.pretty().c_str());
   std::printf(
       "Both paths run the same noise/ADC pipeline per scoring; Δ objective\n"

@@ -1,19 +1,20 @@
-// Serving-gateway load generator: boots in-process NashServers on ephemeral
-// loopback ports and sweeps a client-concurrency grid over them —
+// Serving-gateway warm-path load generator: boots in-process NashServers on
+// ephemeral loopback ports, fills each one's cache with one pass of unique
+// solves, then sweeps a client-concurrency grid over the cached batch —
 // serve_threads {1, 4} × connections {1, 8, 64} — with a closed-loop driver
 // (one request outstanding per connection, one client thread per connection)
 // so latency percentiles are true per-request round trips under concurrency.
-//
-//   * cold phase  — every request unique → full solve path (once per server);
-//   * warm sweep  — the batch replicated to >= 256 requests, every request a
-//                   cache hit: requests/s and p50/p95/p99 latency per
-//                   (serve_threads, connections) cell, plus one binary-framing
-//                   cell to compare framings on the same cache.
+// Every warm request must be a cache hit. One binary-framing cell compares
+// framings on the same cache, and the server's own per-stage histograms ride
+// along as `server_stages`. The cold (solve) path is perfbench's serve_cold
+// workload; the fill pass here is not reported.
 //
 // The headline `warm_speedup` is warm req/s at (serve_threads 4, 64
 // connections) over the single-threaded baseline (serve_threads 1, one
 // synchronous connection). `hardware_threads` rides along in the JSON: on a
 // single-core host the sweep degenerates to syscall-batching gains only.
+//
+// Exits non-zero on any error response or warm cache miss.
 //
 // Usage: bench_serve_throughput [requests-per-class] [--threads N]
 //                               [--json <path>]   (BENCH_serve_throughput.json)
@@ -32,11 +33,12 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
-using cnash::bench::Json;
 using cnash::serve::LineClient;
+using cnash::util::Json;
 
 struct RequestClass {
   std::string label;
@@ -50,8 +52,8 @@ struct RequestClass {
 std::string solve_body(const RequestClass& cls,
                        const cnash::game::BimatrixGame& g, std::uint64_t seed) {
   std::string body = "{\"method\":\"solve\"";
-  body += ",\"game_text\":" +
-          cnash::util::Json::string(cnash::game::serialize_game(g)).dump();
+  body +=
+      ",\"game_text\":" + Json::string(cnash::game::serialize_game(g)).dump();
   body += ",\"backend\":\"" + cls.backend + "\"";
   body += ",\"runs\":" + std::to_string(cls.runs);
   body += ",\"iterations\":" + std::to_string(cls.iterations);
@@ -64,21 +66,11 @@ struct PhaseResult {
   std::size_t responses = 0;
   std::size_t errors = 0;
   std::size_t cached = 0;
-  std::vector<double> latencies;  // successful responses, sorted by finish()
+  std::vector<double> latencies;       // successful responses, seconds
+  cnash::util::RunningStats latency;   // the same samples, streamed
 
   double rps() const {
     return wall_s > 0.0 ? static_cast<double>(responses) / wall_s : 0.0;
-  }
-  double percentile(double p) const {  // nearest-rank on the sorted vector
-    if (latencies.empty()) return 0.0;
-    const double rank = p * static_cast<double>(latencies.size() - 1);
-    return latencies[static_cast<std::size_t>(rank + 0.5)];
-  }
-  double mean() const {
-    if (latencies.empty()) return 0.0;
-    double total = 0.0;
-    for (double l : latencies) total += l;
-    return total / static_cast<double>(latencies.size());
   }
 };
 
@@ -121,7 +113,7 @@ PhaseResult drive(std::uint16_t port, std::size_t connections,
         }
         const double latency =
             std::chrono::duration<double>(clock::now() - sent).count();
-        const cnash::util::Json parsed = cnash::util::Json::parse(response);
+        const Json parsed = Json::parse(response);
         shard.responses++;
         if (!parsed.at("ok").as_bool()) {
           shard.errors++;
@@ -129,6 +121,7 @@ PhaseResult drive(std::uint16_t port, std::size_t connections,
         }
         if (parsed.at("cached").as_bool()) shard.cached++;
         shard.latencies.push_back(latency);
+        shard.latency.add(latency);
       }
     });
   for (std::thread& t : threads) t.join();
@@ -141,23 +134,30 @@ PhaseResult drive(std::uint16_t port, std::size_t connections,
     result.cached += shard.cached;
     result.latencies.insert(result.latencies.end(), shard.latencies.begin(),
                             shard.latencies.end());
+    result.latency.merge(shard.latency);
   }
-  std::sort(result.latencies.begin(), result.latencies.end());
   return result;
 }
 
-void report_phase(Json& node, const PhaseResult& r) {
-  node.set("responses", r.responses);
-  node.set("errors", r.errors);
-  node.set("cached", r.cached);
-  node.set("wall_s", r.wall_s);
-  node.set("requests_per_sec", r.rps());
-  Json& lat = node.obj("latency_s");
-  lat.set("mean", r.mean());
-  lat.set("p50", r.percentile(0.50));
-  lat.set("p95", r.percentile(0.95));
-  lat.set("p99", r.percentile(0.99));
-  lat.set("max", r.latencies.empty() ? 0.0 : r.latencies.back());
+/// One warm cell of the sweep.
+Json report_cell(std::size_t connections, const char* framing,
+                 const PhaseResult& r) {
+  Json lat = Json::object();
+  lat.set("mean", r.latency.mean());
+  lat.set("p50", cnash::util::percentile(r.latencies, 50));
+  lat.set("p95", cnash::util::percentile(r.latencies, 95));
+  lat.set("p99", cnash::util::percentile(r.latencies, 99));
+  lat.set("max", r.latency.max());
+  Json cell = Json::object();
+  cell.set("connections", connections);
+  cell.set("framing", framing);
+  cell.set("responses", r.responses);
+  cell.set("errors", r.errors);
+  cell.set("cached", r.cached);
+  cell.set("wall_s", r.wall_s);
+  cell.set("requests_per_sec", r.rps());
+  cell.set("latency_s", std::move(lat));
+  return cell;
 }
 
 }  // namespace
@@ -166,14 +166,13 @@ int main(int argc, char** argv) {
   using namespace cnash;
   const bench::CliOptions cli = bench::parse_cli(argc, argv);
   const std::size_t per_class = cli.runs > 0 ? cli.runs : 8;
-  constexpr std::size_t kClasses = 5;  // must match `classes` below
   constexpr std::size_t kWarmTarget = 256;  // minimum warm requests per cell
   bench::JsonReport report("serve_throughput", cli);
 
   // Mixed game-size / backend classes: the small-and-exact end answers in
   // microseconds, the hardware end exercises crossbar programming — together
   // they approximate a production mix where cheap and expensive solves share
-  // the queue.
+  // the cache.
   const std::vector<RequestClass> classes = {
       {"exact_sa_2", "exact-sa", 2, 8, 400},
       {"exact_sa_16", "exact-sa", 16, 4, 400},
@@ -181,10 +180,6 @@ int main(int argc, char** argv) {
       {"hardware_sa_4", "hardware-sa", 4, 4, 300},
       {"hardware_sa_tiled_8", "hardware-sa-tiled", 8, 2, 300},
   };
-  if (classes.size() != kClasses) {
-    std::fprintf(stderr, "bench_serve_throughput: kClasses out of sync\n");
-    return 1;
-  }
 
   util::Rng rng(0x5EEDBEEF);
   std::vector<std::string> bodies;
@@ -214,15 +209,16 @@ int main(int argc, char** argv) {
   root.set("warm_requests", warm_bodies.size());
   root.set("hardware_threads",
            static_cast<std::size_t>(std::thread::hardware_concurrency()));
-  Json& classes_json = root.arr("classes");
+  Json classes_json = Json::array();
   for (const RequestClass& cls : classes) {
-    Json& c = classes_json.push();
+    Json& c = classes_json.push(Json::object());
     c.set("label", cls.label);
     c.set("backend", cls.backend);
     c.set("actions", cls.actions);
     c.set("runs", cls.runs);
   }
-  Json& sweep = root.arr("sweep");
+  root.set("classes", std::move(classes_json));
+  Json sweep = Json::array();
 
   double baseline_rps = 0.0;  // serve_threads 1, one connection
   double headline_rps = 0.0;  // serve_threads 4, 64 connections
@@ -240,28 +236,24 @@ int main(int argc, char** argv) {
     server.start();
     std::thread server_thread([&] { server.run(); });
 
-    Json& group = sweep.push();
-    group.set("serve_threads", serve_threads);
+    // Fill the cache: every request unique, so each one is solved.
+    const PhaseResult fill = drive(server.port(), 4, bodies, /*binary=*/false);
+    if (fill.errors > 0)
+      std::fprintf(stderr, "serve_threads %zu  cache fill: %zu errors\n",
+                   serve_threads, fill.errors);
+    ok = ok && fill.errors == 0;
 
-    const PhaseResult cold = drive(server.port(), 4, bodies, /*binary=*/false);
-    report_phase(group.obj("cold"), cold);
-    std::printf("serve_threads %zu  cold: %.1f req/s, p95 %.5f s, "
-                "%zu errors\n",
-                serve_threads, cold.rps(), cold.percentile(0.95), cold.errors);
-    ok = ok && cold.errors == 0;
-
-    Json& warm_json = group.arr("warm");
+    Json warm_json = Json::array();
     for (const std::size_t connections : connection_grid) {
       const PhaseResult warm =
           drive(server.port(), connections, warm_bodies, /*binary=*/false);
-      Json& cell = warm_json.push();
-      cell.set("connections", connections);
-      cell.set("framing", "json-lines");
-      report_phase(cell, warm);
+      warm_json.push(report_cell(connections, "json-lines", warm));
       std::printf("serve_threads %zu  warm x%-2zu conns: %8.1f req/s, "
                   "p50 %.6f s, p95 %.6f s, p99 %.6f s, %zu/%zu cached\n",
-                  serve_threads, connections, warm.rps(), warm.percentile(0.5),
-                  warm.percentile(0.95), warm.percentile(0.99), warm.cached,
+                  serve_threads, connections, warm.rps(),
+                  util::percentile(warm.latencies, 50),
+                  util::percentile(warm.latencies, 95),
+                  util::percentile(warm.latencies, 99), warm.cached,
                   warm.responses);
       ok = ok && warm.errors == 0 && warm.cached == warm.responses;
       if (serve_threads == 1 && connections == 1) baseline_rps = warm.rps();
@@ -273,10 +265,7 @@ int main(int argc, char** argv) {
     if (serve_threads == serve_thread_grid.back()) {
       const PhaseResult warm_bin =
           drive(server.port(), 8, warm_bodies, /*binary=*/true);
-      Json& cell = warm_json.push();
-      cell.set("connections", std::size_t{8});
-      cell.set("framing", "binary");
-      report_phase(cell, warm_bin);
+      warm_json.push(report_cell(8, "binary", warm_bin));
       std::printf("serve_threads %zu  warm x8  conns: %8.1f req/s "
                   "(binary framing), %zu/%zu cached\n",
                   serve_threads, warm_bin.rps(), warm_bin.cached,
@@ -284,36 +273,20 @@ int main(int argc, char** argv) {
       ok = ok && warm_bin.errors == 0 && warm_bin.cached == warm_bin.responses;
     }
 
-    // Server-side counters, recorded per group.
+    Json group = Json::object();
+    group.set("serve_threads", serve_threads);
+    group.set("warm", std::move(warm_json));
     {
       LineClient probe;
       std::string stats_line;
       if (probe.connect_to(server.port()) &&
           probe.send_line("{\"method\":\"stats\"}") &&
           probe.recv_line(stats_line)) {
-        const util::Json stats = util::Json::parse(stats_line);
-        const util::Json& cache = stats.at("stats").at("cache");
-        const util::Json& served = stats.at("stats").at("served");
-        Json& cache_json = group.obj("cache");
-        for (const char* key :
-             {"hits", "misses", "insertions", "evictions", "oversize_rejects",
-              "entries", "bytes", "byte_budget"})
-          cache_json.set(key, cache.at(key).as_number());
-        // The tier-2 store block rides along verbatim (all-zero with
-        // enabled=false here — this bench runs RAM-only — but the schema
-        // matches a gateway booted with --store-dir).
-        const util::Json& store = stats.at("stats").at("store");
-        Json& store_json = group.obj("store");
-        store_json.set("enabled", store.at("enabled").as_bool());
-        for (const char* key :
-             {"hits", "misses", "appends", "tombstones", "evictions",
-              "oversize_rejects", "compactions", "entries", "segments",
-              "live_raw_bytes", "live_value_bytes", "live_stored_bytes",
-              "dead_stored_bytes", "compressed_records", "stored_records",
-              "corrupt_records_skipped", "torn_tail_truncations",
-              "byte_budget", "compression_ratio"})
-          store_json.set(key, store.at(key).as_number());
-        group.set("fair_deferrals", served.at("fair_deferrals").as_number());
+        const Json stats = Json::parse(stats_line);
+        group.set("fair_deferrals", stats.at("stats")
+                                        .at("served")
+                                        .at("fair_deferrals")
+                                        .as_number());
       }
 
       // Server-side per-stage latency quantiles (the metrics registry's
@@ -322,10 +295,9 @@ int main(int argc, char** argv) {
       std::string metrics_line;
       if (probe.send_line("{\"method\":\"metrics\"}") &&
           probe.recv_line(metrics_line)) {
-        const util::Json metrics =
-            util::Json::parse(metrics_line).at("metrics");
-        const util::Json& histograms = metrics.at("histograms");
-        Json& stages = group.obj("server_stages");
+        const Json metrics = Json::parse(metrics_line);
+        const Json& histograms = metrics.at("metrics").at("histograms");
+        Json stages = Json::object();
         for (const char* name :
              {"cnash_stage_parse_seconds", "cnash_stage_canonicalize_seconds",
               "cnash_stage_cache_lookup_seconds", "cnash_stage_admit_seconds",
@@ -333,18 +305,22 @@ int main(int argc, char** argv) {
               "cnash_request_handle_seconds", "cnash_stage_prepare_seconds",
               "cnash_stage_unit_seconds", "cnash_stage_queue_wait_seconds",
               "cnash_solve_wall_seconds"}) {
-          const util::Json* h = histograms.find(name);
+          const Json* h = histograms.find(name);
           if (!h) continue;
-          Json& stage = stages.obj(name);
+          Json stage = Json::object();
           for (const char* field : {"count", "sum", "p50", "p95", "p99"})
             stage.set(field, h->at(field).as_number());
+          stages.set(name, std::move(stage));
         }
+        group.set("server_stages", std::move(stages));
       }
     }
+    sweep.push(std::move(group));
 
     server.request_stop();
     server_thread.join();
   }
+  root.set("sweep", std::move(sweep));
 
   if (baseline_rps > 0.0 && headline_rps > 0.0)
     root.set("warm_speedup", headline_rps / baseline_rps);
@@ -357,7 +333,7 @@ int main(int argc, char** argv) {
 
   if (!ok) {
     std::fprintf(stderr, "bench_serve_throughput: FAILED (errors or warm "
-                 "misses — see counters above)\n");
+                 "misses — see the counters above)\n");
     return 1;
   }
   return 0;

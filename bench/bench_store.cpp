@@ -33,7 +33,7 @@
 
 namespace {
 
-using cnash::bench::Json;
+using cnash::util::Json;
 
 struct LoadClass {
   std::string label;
@@ -107,13 +107,14 @@ int main(int argc, char** argv) {
   root.set("reports_per_class", per_class);
   root.set("records", load.size());
   root.set("raw_bytes", raw_bytes);
-  Json& classes_json = root.arr("classes");
+  Json classes_json = Json::array();
   for (const LoadClass& cls : classes) {
-    Json& c = classes_json.push();
+    Json& c = classes_json.push(Json::object());
     c.set("label", cls.label);
     c.set("backend", cls.backend);
     c.set("actions", cls.actions);
   }
+  root.set("classes", std::move(classes_json));
 
   bool ok = true;
   double compression_ratio = 0.0;
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
     store.sync();
     const store::StoreStats s = store.stats();
     compression_ratio = s.compression_ratio();
-    Json& cold = root.obj("cold_write");
+    Json cold = Json::object();
     cold.set("wall_s", wall);
     cold.set("puts_per_sec", wall > 0 ? load.size() / wall : 0.0);
     cold.set("raw_mb_per_sec",
@@ -139,6 +140,7 @@ int main(int argc, char** argv) {
     cold.set("compressed_records", s.compressed_records);
     cold.set("stored_records", s.stored_records);
     cold.set("compression_ratio", compression_ratio);
+    root.set("cold_write", std::move(cold));
     std::printf("cold write : %5zu records in %.4f s (%8.0f put/s), "
                 "%.2fx compression (%zu lz / %zu stored)\n",
                 load.size(), wall, load.size() / (wall > 0 ? wall : 1.0),
@@ -159,13 +161,14 @@ int main(int argc, char** argv) {
     }
     const double wall = seconds_since(t0);
     const store::StoreStats s = store.stats();
-    Json& warm = root.obj("warm_restart_read");
+    Json warm = Json::object();
     warm.set("open_wall_s", open_wall);
     warm.set("read_wall_s", wall);
     warm.set("reads_per_sec", wall > 0 ? load.size() / wall : 0.0);
     warm.set("raw_mb_per_sec",
              wall > 0 ? raw_bytes / (wall * 1024.0 * 1024.0) : 0.0);
     warm.set("byte_identical", verified);
+    root.set("warm_restart_read", std::move(warm));
     std::printf("warm read  : %5zu records in %.4f s (%8.0f get/s), "
                 "open+recover %.4f s, %zu/%zu byte-identical\n",
                 load.size(), wall, load.size() / (wall > 0 ? wall : 1.0),
@@ -185,11 +188,12 @@ int main(int argc, char** argv) {
     store.compact();
     const double wall = seconds_since(t0);
     const store::StoreStats s = store.stats();
-    Json& compact = root.obj("compact");
+    Json compact = Json::object();
     compact.set("wall_s", wall);
     compact.set("reclaimed_bytes", dead_before);
     compact.set("segments_after", s.segments);
     compact.set("entries_after", s.entries);
+    root.set("compact", std::move(compact));
     std::printf("compact    : reclaimed %zu dead bytes in %.4f s "
                 "(%zu entries, %zu segments)\n",
                 dead_before, wall, s.entries, s.segments);

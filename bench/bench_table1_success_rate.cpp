@@ -20,15 +20,17 @@ int main(int argc, char** argv) {
   std::size_t total_runs = 0;
   const auto instances = game::paper_benchmarks();
   std::vector<bench::InstanceEvaluation> evals;
+  util::Json instances_json = util::Json::array();
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const std::size_t runs =
         cli.runs > 0 ? cli.runs : bench::default_runs_for(i);
     std::fprintf(stderr, "running %s (%zu runs)...\n",
                  instances[i].game.name().c_str(), runs);
     evals.push_back(bench::evaluate_instance(instances[i], runs, cli.threads));
-    bench::report_instance(report.root().arr("instances").push(), evals.back());
+    instances_json.push(bench::report_instance(evals.back()));
     total_runs += 3 * runs;
   }
+  report.root().set("instances", std::move(instances_json));
 
   auto row = [&](const std::string& name,
                  auto&& getter) -> std::vector<std::string> {

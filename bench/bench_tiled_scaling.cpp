@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
 
   util::Rng game_rng(0x715CA1E);
   std::size_t total_iters = 0;
+  util::Json size_sweep = util::Json::array();
   for (const std::size_t n : {8u, 16u, 32u, 64u, 128u, 256u}) {
     const game::BimatrixGame g = sized_game(n, game_rng);
 
@@ -150,7 +151,7 @@ int main(int argc, char** argv) {
          util::Table::num(e_iter * 1e9, 3),
          util::Table::num(std::abs(f_mono - f_tiled), 4)});
 
-    bench::Json& node = report.root().arr("size_sweep").push();
+    util::Json& node = size_sweep.push(util::Json::object());
     node.set("actions", n);
     node.set("backend", "hardware-sa-tiled");
     node.set("grid_rows", part.grid_rows());
@@ -168,6 +169,7 @@ int main(int argc, char** argv) {
     node.set("tiled_energy_per_iteration_j", e_iter);
     node.set("final_objective_delta", std::abs(f_mono - f_tiled));
   }
+  report.root().set("size_sweep", std::move(size_sweep));
   std::printf("%s\n", table.pretty().c_str());
   std::printf(
       "Shape: simulator wall clock tracks the O(m+n) incremental kernels on\n"

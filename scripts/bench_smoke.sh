@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Release-mode bench smoke: run every bench binary for a few iterations so a
 # perf-path crash (OOB table index, allocation blow-up, divergent loop) fails
-# CI instead of the next person's perf run. Also exercises the shared --json
-# reporting, and runs the solver examples end to end. Usage:
+# CI instead of the next person's perf run. Also checks that every
+# BENCH_*.json the shared --json reporting writes parses, and runs the solver
+# examples end to end. Usage:
 # scripts/bench_smoke.sh <build-dir> [out-dir]
 set -euo pipefail
 
@@ -25,7 +26,6 @@ run "$build_dir/bench_fig9_distinct_solutions" $runs --threads $threads --json "
 run "$build_dir/bench_fig10_time_to_solution" $runs --threads $threads --json "$out_dir/"
 run "$build_dir/bench_scaling" $runs --threads $threads --json "$out_dir/"
 run "$build_dir/bench_tiled_scaling" 1 --threads $threads --json "$out_dir/"
-run "$build_dir/bench_service_throughput" 6 --threads $threads --json "$out_dir/"
 run "$build_dir/bench_serve_throughput" 3 --threads $threads --json "$out_dir/"
 run "$build_dir/bench_store" 8 --json "$out_dir/"
 run "$build_dir/bench_fig2_fefet_idvg"
@@ -40,6 +40,20 @@ run "$build_dir/bench_ablation_squbo" $runs
 if [ -x "$build_dir/bench_micro_vmv" ]; then
   run "$build_dir/bench_micro_vmv" --benchmark_min_time=0.01 --json "$out_dir/"
 fi
+
+# A broken writer must fail here, not ship an unparsable artifact. Python's
+# json module accepts NaN and Infinity, which JSON does not, so reject them.
+echo "--- parse every BENCH_*.json ---"
+python3 -c 'import json, sys
+def reject(constant):
+    raise ValueError("not JSON: " + constant)
+for path in sys.argv[1:]:
+    try:
+        with open(path) as f:
+            json.load(f, parse_constant=reject)
+    except ValueError as e:
+        sys.exit("%s: %s" % (path, e))
+print("parsed %d reports" % len(sys.argv[1:]))' "$out_dir"/BENCH_*.json
 
 # The solver examples. quickstart promises the same results for any thread
 # count, so its stdout must not depend on --threads.

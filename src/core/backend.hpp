@@ -173,6 +173,13 @@ inline constexpr std::size_t kMaxReplicas = 64;
 /// time and memory. It sits above every array this repo programs
 /// (perfbench's largest ≈ 4.1 M cells, random_128.game at I = 12 ≈ 21 M).
 inline constexpr std::uint64_t kMaxArrayCells = std::uint64_t{1} << 25;
+/// Support pairs a "support-enum" request may examine. The solver tries
+/// every equal-size support pair of an n×m game, C(n+m, n) − 1 of them, in
+/// one unit that no deadline can stop. 2^18 admits a 10×10 game (184 755
+/// pairs, 0.55 s) and rejects 11×11 (705 431 pairs, 2.5 s) and larger square
+/// games (random covariant games, Release build, one Intel Xeon core); exact
+/// equilibrium search has no polynomial budget to fall back on.
+inline constexpr std::uint64_t kMaxSupportPairs = std::uint64_t{1} << 18;
 
 /// Submit-time request validation: throws std::invalid_argument with a clear
 /// message for requests that could only fail later on a worker thread
@@ -182,8 +189,9 @@ inline constexpr std::uint64_t kMaxArrayCells = std::uint64_t{1} << 25;
 /// also map onto the chip: integer payoffs after the shift and scale, at
 /// most kMaxArrayCells cells per array (counted over every replica's chip
 /// under replica exchange), and on a tiled chip a tile that holds one
-/// element block. Backend-key resolution is validated separately by the
-/// registry lookup.
+/// element block. "support-enum" requests may examine at most
+/// kMaxSupportPairs support pairs. Backend-key resolution is validated
+/// separately by the registry lookup.
 void validate_request(const SolveRequest& request);
 
 /// ε-Nash verification of freshly produced samples: sets is_nash and regret

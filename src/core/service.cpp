@@ -37,9 +37,8 @@ struct SolverService::Job {
   std::vector<std::vector<SolveSample>> slots;  // per-unit samples
 
   std::exception_ptr error;  // first failure; remaining units are skipped
-  std::promise<SolveReport> promise;
-  /// Callback-style result delivery (submit_async); when on_complete is set
-  /// the promise is never touched.
+  /// Result delivery: on_complete is called exactly once (submit() installs
+  /// one that fulfils its future).
   JobHooks hooks;
   /// Running best-so-far aggregates for ProgressSnapshot, updated under the
   /// service mutex as units complete (completion order, not unit order).
@@ -88,14 +87,6 @@ std::shared_ptr<SolverService::Job> SolverService::make_job() {
   return job;
 }
 
-void SolverService::fail_now(const std::shared_ptr<Job>& job,
-                             std::exception_ptr e) {
-  if (job->hooks.on_complete)
-    job->hooks.on_complete(SolveReport{}, e);
-  else
-    job->promise.set_exception(e);
-}
-
 void SolverService::submit_job(SolveRequest request, std::shared_ptr<Job> job) {
   // Submit-time validation: an unknown backend key or a request that could
   // only fail later on a worker thread resolves the job immediately with a
@@ -109,7 +100,7 @@ void SolverService::submit_job(SolveRequest request, std::shared_ptr<Job> job) {
     invalid = std::current_exception();
   }
   if (invalid) {
-    fail_now(job, invalid);
+    job->hooks.on_complete(SolveReport{}, invalid);
     return;
   }
   job->backend = backend;
@@ -124,8 +115,10 @@ void SolverService::submit_job(SolveRequest request, std::shared_ptr<Job> job) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (draining_) {
-      fail_now(job, std::make_exception_ptr(ServiceDrainingError(
-                        "SolverService: draining — not accepting new jobs")));
+      job->hooks.on_complete(
+          SolveReport{},
+          std::make_exception_ptr(ServiceDrainingError(
+              "SolverService: draining — not accepting new jobs")));
       return;
     }
     jobs_.push_back(std::move(job));
@@ -134,9 +127,18 @@ void SolverService::submit_job(SolveRequest request, std::shared_ptr<Job> job) {
 }
 
 std::future<SolveReport> SolverService::submit(SolveRequest request) {
-  auto job = make_job();
-  std::future<SolveReport> future = job->promise.get_future();
-  submit_job(std::move(request), std::move(job));
+  // std::function needs a copyable target, so the promise is shared.
+  auto promise = std::make_shared<std::promise<SolveReport>>();
+  std::future<SolveReport> future = promise->get_future();
+  JobHooks hooks;
+  hooks.on_complete = [promise](SolveReport&& report,
+                                std::exception_ptr error) {
+    if (error)
+      promise->set_exception(error);
+    else
+      promise->set_value(std::move(report));
+  };
+  submit_async(std::move(request), std::move(hooks));
   return future;
 }
 
@@ -184,7 +186,7 @@ bool SolverService::draining() const {
 
 void SolverService::finish(std::shared_ptr<Job> job) {
   if (job->error) {
-    fail_now(job, job->error);
+    job->hooks.on_complete(SolveReport{}, job->error);
     return;
   }
   SolveReport report = assemble_report(*job->prepared, std::move(job->slots));
@@ -194,10 +196,7 @@ void SolverService::finish(std::shared_ptr<Job> job) {
   report.wall_clock_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - job->submitted)
                             .count();
-  if (job->hooks.on_complete)
-    job->hooks.on_complete(std::move(report), nullptr);
-  else
-    job->promise.set_value(std::move(report));
+  job->hooks.on_complete(std::move(report), nullptr);
 }
 
 void SolverService::worker_loop() {
@@ -264,7 +263,7 @@ void SolverService::worker_loop() {
       }
     }
     if (is_expiry_finish) {
-      finishing_++;  // drain() must not return before the promise is set
+      finishing_++;  // drain() must not return before on_complete has run
       lock.unlock();
       finish(std::move(job));
       lock.lock();
@@ -358,7 +357,7 @@ void SolverService::worker_loop() {
           jobs_.erase(it);
           break;
         }
-      finishing_++;  // drain() must not return before the promise is set
+      finishing_++;  // drain() must not return before on_complete has run
       lock.unlock();
       finish(std::move(job));
       lock.lock();

@@ -122,10 +122,12 @@ class SolverService {
   /// bit-exact per unit (keyed streams), there are just fewer of them.
   std::future<SolveReport> submit(SolveRequest request);
 
-  /// Callback-style submission (the serve/ gateway's entry point): the job's
-  /// result is delivered through hooks.on_complete instead of a future, and
-  /// hooks.on_progress (optional) streams best-so-far snapshots after each
-  /// non-final unit. Deadline semantics are identical to submit().
+  /// Callback-style submission (the serve/ gateway's entry point, and the
+  /// one path every job takes: submit() is this with an on_complete that
+  /// fulfils its future). The job's result is delivered through
+  /// hooks.on_complete, which must be set, and hooks.on_progress (optional)
+  /// streams best-so-far snapshots after each non-final unit. Deadline
+  /// semantics are identical to submit().
   void submit_async(SolveRequest request, JobHooks hooks);
 
   /// Synchronous convenience: submit + wait.
@@ -167,10 +169,8 @@ class SolverService {
 
   std::shared_ptr<Job> make_job();
   void submit_job(SolveRequest request, std::shared_ptr<Job> job);
-  /// Resolve a job that never reached the queue (validation / draining).
-  static void fail_now(const std::shared_ptr<Job>& job, std::exception_ptr e);
   void worker_loop();
-  void finish(std::shared_ptr<Job> job);  // fulfil promise, job already delisted
+  void finish(std::shared_ptr<Job> job);  // on_complete; job already delisted
 
   const SolverRegistry* registry_;
   const ServiceTelemetry telemetry_;
@@ -180,7 +180,7 @@ class SolverService {
   std::vector<std::thread> workers_;
   bool stop_ = false;
   bool draining_ = false;
-  /// Jobs delisted from jobs_ whose promise is still being fulfilled; drain()
+  /// Jobs delisted from jobs_ whose on_complete is still running; drain()
   /// waits for this to reach zero so every future is resolved on return.
   std::size_t finishing_ = 0;
 };

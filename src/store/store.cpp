@@ -280,8 +280,11 @@ std::string SolutionStore::read_record_value(const IndexEntry& entry) {
     done += static_cast<std::size_t>(got);
   }
   if (entry.header.codec == kCodecStored) return stored;
+  if (entry.header.codec != kCodecLz)
+    throw CodecError("unknown codec tag " +
+                     std::to_string(entry.header.codec));
   std::string raw;
-  lz_codec().decompress(stored, entry.header.raw_len, raw);
+  lz_decompress(stored, entry.header.raw_len, raw);
   return raw;
 }
 
@@ -300,9 +303,9 @@ std::optional<std::string> SolutionStore::get(std::uint64_t digest,
         stats_.hits++;
         return value;
       } catch (const CodecError&) {
-        // CRC said the bytes were intact at open, the codec disagrees now:
-        // treat as a miss rather than crash the gateway; compaction or a
-        // fresh put will paper over it.
+        // CRC said the bytes were intact at open, but the codec tag is
+        // unknown or the stream does not decode: treat as a miss rather than
+        // crash the gateway; compaction or a fresh put will paper over it.
         break;
       }
     }
@@ -320,8 +323,8 @@ void SolutionStore::put(std::uint64_t digest, std::string_view key,
   header.digest = digest;
   header.raw_len = static_cast<std::uint32_t>(value.size());
   std::string_view stored = value;
-  if (lz_codec().compress(value, scratch_)) {
-    header.codec = lz_codec().tag();
+  if (lz_compress(value, scratch_)) {
+    header.codec = kCodecLz;
     stored = scratch_;
   } else {
     header.codec = kCodecStored;

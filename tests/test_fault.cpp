@@ -541,6 +541,43 @@ TEST(ValidateRequest, RejectsGamesTheChipCannotHold) {
   EXPECT_NO_THROW(core::validate_request(exact));
 }
 
+TEST(ValidateRequest, CapsSupportEnumerationPairs) {
+  // Support enumeration is one unit that tries C(n+m, n) − 1 support pairs,
+  // so a game past kMaxSupportPairs is a bad request, not a solve no
+  // deadline can stop. Validation only: nothing here is solved.
+  util::Rng rng(2024);
+  auto request = [&](std::size_t n, std::size_t m) {
+    core::SolveRequest req(game::random_covariant_game(n, m, 0.0, rng));
+    req.backend = "support-enum";
+    return req;
+  };
+  EXPECT_NO_THROW(core::validate_request(request(10, 10)));  // 184 755 pairs
+  EXPECT_NO_THROW(core::validate_request(request(3, 64)));   // 47 905 pairs
+  EXPECT_THROW(core::validate_request(request(11, 11)),      // 705 431 pairs
+               std::invalid_argument);
+  EXPECT_THROW(core::validate_request(request(64, 64)), std::invalid_argument);
+  // The cap is inclusive: a 1×m game has exactly m support pairs.
+  auto one_row = [](std::uint64_t m) {
+    core::SolveRequest req(
+        game::BimatrixGame(la::Matrix(1, m), la::Matrix(1, m), "1xm"));
+    req.backend = "support-enum";
+    return req;
+  };
+  EXPECT_NO_THROW(core::validate_request(one_row(core::kMaxSupportPairs)));
+  EXPECT_THROW(core::validate_request(one_row(core::kMaxSupportPairs + 1)),
+               std::invalid_argument);
+  try {
+    core::validate_request(request(64, 64));
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::strstr(e.what(), "C(128, 64) - 1"), nullptr) << e.what();
+    EXPECT_NE(std::strstr(e.what(), "lemke-howson"), nullptr) << e.what();
+  }
+  // The cap is support enumeration's alone.
+  core::SolveRequest pivots = request(64, 64);
+  pivots.backend = "lemke-howson";
+  EXPECT_NO_THROW(core::validate_request(pivots));
+}
+
 // ---- SolverService: deadlines and drain -------------------------------------
 
 TEST(ServiceDeadline, ZeroDeadlineNeverDegrades) {

@@ -1193,6 +1193,14 @@ TEST(ServeGuards, OversizedSolveGetsBadRequestAndTheGatewayKeepsServing) {
       ",\"intervals\":1,\"sa_mode\":\"replica-exchange\",\"replicas\":9"));
   ASSERT_FALSE(wide_ensemble.at("ok").as_bool());
   EXPECT_EQ(wide_ensemble.at("error").at("code").as_string(), "bad_request");
+  // Exhaustive support enumeration of a 64×64 game: C(128, 64) − 1 support
+  // pairs in one unit no deadline can stop.
+  util::Rng rng(64);
+  const util::Json support_enum = client.request(solve_line(
+      game::random_covariant_game(64, 64, 0.0, rng), 8, "support-enum", 4,
+      300, 7, ",\"deadline_s\":1"));
+  ASSERT_FALSE(support_enum.at("ok").as_bool());
+  EXPECT_EQ(support_enum.at("error").at("code").as_string(), "bad_request");
 
   const util::Json ok = client.request(solve_line(game::battle_of_sexes(), 4));
   EXPECT_TRUE(ok.at("ok").as_bool());

@@ -7,7 +7,8 @@
 //     reopen, compaction reclaims dead bytes with every live record intact;
 //   * crash safety: a torn tail (truncate mid-record) is amputated on reopen
 //     and reported by fsck; a CRC-corrupted record is skipped while the rest
-//     of the segment stays servable;
+//     of the segment stays servable; a CRC-valid record with an unknown
+//     codec tag is served as a miss;
 //   * serve integration: a RAM-missed key is served from disk and promoted,
 //     a gateway restart against a populated --store-dir answers a previously
 //     solved request byte-identically with zero new SolverService jobs, a
@@ -21,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
@@ -96,7 +98,6 @@ std::string single_segment_path(const std::string& dir) {
 // ---- codec ------------------------------------------------------------------
 
 TEST(Codec, RoundTripOnStructuredAndAdversarialBuffers) {
-  const store::Codec& codec = store::lz_codec();
   std::vector<std::string> inputs = {
       "",
       "a",
@@ -124,49 +125,47 @@ TEST(Codec, RoundTripOnStructuredAndAdversarialBuffers) {
 
   std::string packed, unpacked;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (!codec.compress(inputs[i], packed)) continue;  // stored fallback
+    if (!store::lz_compress(inputs[i], packed)) continue;  // stored fallback
     EXPECT_LT(packed.size(), inputs[i].size()) << "input " << i;
-    codec.decompress(packed, inputs[i].size(), unpacked);
+    store::lz_decompress(packed, inputs[i].size(), unpacked);
     EXPECT_EQ(unpacked, inputs[i]) << "input " << i;
   }
 
   // The structured buffers must actually compress — the acceptance bar for
   // the serving workload is ratio > 1.
-  EXPECT_TRUE(codec.compress(json_like_value(1), packed));
-  EXPECT_TRUE(codec.compress(std::string(10000, '\0'), packed));
+  EXPECT_TRUE(store::lz_compress(json_like_value(1), packed));
+  EXPECT_TRUE(store::lz_compress(std::string(10000, '\0'), packed));
 }
 
 TEST(Codec, IncompressibleInputFallsBackToStored) {
-  const store::Codec& codec = store::lz_codec();
   std::string packed;
-  EXPECT_FALSE(codec.compress(random_value(7, 4096), packed));
-  EXPECT_FALSE(codec.compress("", packed));
-  EXPECT_FALSE(codec.compress("ab", packed));
+  EXPECT_FALSE(store::lz_compress(random_value(7, 4096), packed));
+  EXPECT_FALSE(store::lz_compress("", packed));
+  EXPECT_FALSE(store::lz_compress("ab", packed));
 }
 
 TEST(Codec, MalformedStreamsThrowInsteadOfCrashing) {
-  const store::Codec& codec = store::lz_codec();
   std::string out;
   // Literal run of 4 announced, 1 byte present.
-  EXPECT_THROW(codec.decompress(std::string("\x03z", 2), 4, out),
+  EXPECT_THROW(store::lz_decompress(std::string("\x03z", 2), 4, out),
                store::CodecError);
   // Match with offset 0 (never emitted by the compressor).
   EXPECT_THROW(
-      codec.decompress(std::string("\x00q\x80\x00\x00", 5), 5, out),
+      store::lz_decompress(std::string("\x00q\x80\x00\x00", 5), 5, out),
       store::CodecError);
   // Match offset larger than the output produced so far.
   EXPECT_THROW(
-      codec.decompress(std::string("\x00q\x80\x05\x00", 5), 5, out),
+      store::lz_decompress(std::string("\x00q\x80\x05\x00", 5), 5, out),
       store::CodecError);
   // Match runs past the declared decoded size.
   EXPECT_THROW(
-      codec.decompress(std::string("\x00q\x80\x01\x00", 5), 2, out),
+      store::lz_decompress(std::string("\x00q\x80\x01\x00", 5), 2, out),
       store::CodecError);
   // Stream ends inside a match header.
-  EXPECT_THROW(codec.decompress(std::string("\x00q\x80", 3), 5, out),
+  EXPECT_THROW(store::lz_decompress(std::string("\x00q\x80", 3), 5, out),
                store::CodecError);
   // Decoded size disagrees with the header.
-  EXPECT_THROW(codec.decompress(std::string("\x00q", 2), 2, out),
+  EXPECT_THROW(store::lz_decompress(std::string("\x00q", 2), 2, out),
                store::CodecError);
 }
 
@@ -398,6 +397,40 @@ TEST(Store, CrcCorruptRecordIsSkippedRestOfSegmentIntact) {
   const store::FsckReport compacted = store::SolutionStore::fsck(dir.path());
   EXPECT_TRUE(compacted.clean());
   EXPECT_EQ(compacted.live_entries, 2u);
+}
+
+TEST(Store, UnknownCodecTagIsServedAsAMiss) {
+  TempDir dir;
+  {
+    store::SolutionStore store(dir.path());
+    store.put(digest_of("only"), "only", json_like_value(1));
+    EXPECT_EQ(store.stats().compressed_records, 1u);
+  }
+  const std::string segment = single_segment_path(dir.path());
+  std::string image;
+  {
+    std::ifstream in(segment, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // Rewrite the record's codec byte to a tag no codec owns, then re-seal the
+  // record with a valid CRC: the scan accepts it, and only the tag is wrong.
+  const std::size_t record = store::kSegmentHeaderSize;
+  image[record + 9] = 7;
+  const std::uint32_t crc =
+      store::crc32(image.data() + record + 8, image.size() - record - 8);
+  for (int b = 0; b < 4; ++b)
+    image[record + 4 + b] = static_cast<char>((crc >> (8 * b)) & 0xFF);
+  {
+    std::ofstream out(segment, std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+  }
+
+  EXPECT_TRUE(store::SolutionStore::fsck(dir.path()).clean());
+  store::SolutionStore store(dir.path());
+  EXPECT_EQ(store.stats().entries, 1u);
+  EXPECT_FALSE(store.get(digest_of("only"), "only").has_value());
+  EXPECT_EQ(store.stats().misses, 1u);
 }
 
 // ---- serve integration ------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "game/games.hpp"
 #include "game/random_games.hpp"
@@ -148,6 +150,27 @@ TEST(SupportEnum, OddNumberOfEquilibriaGenerically) {
   }
   ASSERT_GT(total, 0);
   EXPECT_EQ(odd, total);
+}
+
+TEST(SupportEnum, ExaminesEveryEqualSizeSupportPair) {
+  // The default search tries sum over k of C(n,k)·C(m,k) = C(n+m, n) − 1
+  // support pairs (Vandermonde); core::kMaxSupportPairs caps requests by
+  // this count, so it must be what the solver actually does.
+  const auto binomial = [](std::size_t a, std::size_t k) {
+    std::size_t c = 1;
+    for (std::size_t i = 1; i <= k; ++i) c = c * (a - k + i) / i;
+    return c;
+  };
+  util::Rng rng(2718);
+  for (const auto& [n, m] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 1}, {2, 2}, {1, 5}, {3, 2}, {4, 4}, {3, 7}, {6, 5}}) {
+    const BimatrixGame g = random_game(n, m, rng);
+    EXPECT_EQ(support_enumeration(g).supports_examined,
+              binomial(n + m, n) - 1)
+        << n << "x" << m;
+  }
+  EXPECT_EQ(support_enumeration(random_game(4, 4, rng)).supports_examined,
+            69u);
 }
 
 TEST(SupportEnum, MaxSupportLimitsSearch) {
