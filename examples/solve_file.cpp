@@ -26,8 +26,9 @@
 // set the physical tile dimensions of the hardware-sa-tiled chip model;
 // --json replaces the human summary with one machine-readable JSON report
 // line per game (the core/report_json.hpp schema shared with nash_serve —
-// no ground-truth cross-check, so it also works for games too large to
-// support-enumerate).
+// no ground-truth cross-check). The human summary skips its ground truth,
+// and says so, for a game with more than core::kMaxSupportPairs support
+// pairs: support enumeration would not finish.
 //
 // Exit codes: 0 success, 2 usage / malformed game file (reported per file
 // with line numbers), 3 invalid solve request (rejected at submit time, e.g.
@@ -41,6 +42,7 @@
 #include <map>
 #include <vector>
 
+#include "core/backend.hpp"
 #include "core/metrics.hpp"
 #include "core/report_json.hpp"
 #include "core/service.hpp"
@@ -199,20 +201,35 @@ int main(int argc, char** argv) {
 
     std::printf("%s\n", g.to_string().c_str());
 
-    const auto gt_result = game::support_enumeration(g);
-    const auto& gt = gt_result.equilibria;
-    std::printf("ground truth: %zu equilibria%s\n\n", gt.size(),
-                gt_result.degenerate_flag ? " (degenerate game — the list may "
-                                            "be incomplete)"
-                                          : "");
+    const std::size_t n = g.num_actions1(), m = g.num_actions2();
+    const bool ground_truth =
+        core::support_pairs(n, m, core::kMaxSupportPairs) <=
+        core::kMaxSupportPairs;
+    game::SupportEnumResult gt_result;
+    if (ground_truth) {
+      gt_result = game::support_enumeration(g);
+      std::printf("ground truth: %zu equilibria%s\n\n",
+                  gt_result.equilibria.size(),
+                  gt_result.degenerate_flag
+                      ? " (degenerate game — the list may be incomplete)"
+                      : "");
+    } else {
+      std::printf(
+          "ground truth: skipped (support enumeration of a %zux%zu game "
+          "examines more than %llu support pairs)\n\n",
+          n, m, static_cast<unsigned long long>(core::kMaxSupportPairs));
+    }
 
-    const auto cls = core::tally(report.samples, gt);
+    const auto cls = core::tally(report.samples, gt_result.equilibria);
 
-    std::printf(
-        "%s: %zu samples, success %s%%, distinct %zu/%zu, modeled %.4g s\n\n",
-        report.backend.c_str(), report.runs(),
-        core::percent(cls.success_rate()).c_str(), cls.distinct_found(),
-        cls.target(), report.modeled_time_s);
+    const std::string distinct_text =
+        ground_truth ? ", distinct " + std::to_string(cls.distinct_found()) +
+                           "/" + std::to_string(cls.target())
+                     : "";
+    std::printf("%s: %zu samples, success %s%%%s, modeled %.4g s\n\n",
+                report.backend.c_str(), report.runs(),
+                core::percent(cls.success_rate()).c_str(),
+                distinct_text.c_str(), report.modeled_time_s);
 
     std::map<std::string, std::pair<core::SolveSample, int>> distinct;
     for (const auto& s : report.samples) {

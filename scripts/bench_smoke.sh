@@ -66,6 +66,10 @@ cmp "$example_dir/quickstart-1.txt" "$example_dir/quickstart-8.txt"
 run "$build_dir/mixed_strategy_hunt"
 run "$build_dir/repeated_pd_tournament"
 run "$build_dir/solve_file" --runs 20 "$src_dir/examples/games/battle_of_sexes.game"
+# Too many support pairs for a ground truth: the summary must skip it, not
+# hang in support enumeration.
+run timeout 60 "$build_dir/solve_file" --runs 2 --iterations 200 \
+  "$src_dir/examples/games/random_64.game"
 
 echo "bench smoke OK; JSON reports in $out_dir:"
 ls "$out_dir"

@@ -40,24 +40,6 @@ bool product_exceeds(std::initializer_list<std::uint64_t> factors,
   return false;
 }
 
-/// Support pairs game::support_enumeration examines on an n×m game (every
-/// pair of equal-size supports): sum over k of C(n,k)·C(m,k), which is
-/// C(n+m, n) − 1 by Vandermonde's identity. Returns cap + 1 for any count
-/// above `cap`. C(n+m, n) is built as C(b+i, i), b = max(n, m), for
-/// i = 1..min(n, m); the terms never decrease and C(b+i, i) >= b + i, so the
-/// loop stops before any product can overflow.
-std::uint64_t support_pairs(std::uint64_t n, std::uint64_t m,
-                            std::uint64_t cap) {
-  const std::uint64_t b = std::max(n, m);
-  std::uint64_t binom = 1;
-  for (std::uint64_t i = 1; i <= std::min(n, m); ++i) {
-    if (b + i > cap + 1) return cap + 1;
-    binom = binom * (b + i) / i;  // exact: C(b+i, i) = C(b+i-1, i-1)(b+i)/i
-    if (binom - 1 > cap) return cap + 1;
-  }
-  return binom - 1;
-}
-
 /// The chip-model half of validate_request for a hardware request: maps
 /// both arrays (which rejects payoffs that do not code as cells), caps their
 /// cell counts, and on a tiled chip cuts them into tiles. A replica-exchange
@@ -85,6 +67,21 @@ void validate_chip_geometry(const SolveRequest& request, bool tiled) {
 }
 
 }  // namespace
+
+// C(n+m, n) is built as C(b+i, i), b = max(n, m), for i = 1..min(n, m); the
+// terms never decrease and C(b+i, i) >= b + i, so the loop stops before any
+// product can overflow.
+std::uint64_t support_pairs(std::uint64_t n, std::uint64_t m,
+                            std::uint64_t cap) {
+  const std::uint64_t b = std::max(n, m);
+  std::uint64_t binom = 1;
+  for (std::uint64_t i = 1; i <= std::min(n, m); ++i) {
+    if (b + i > cap + 1) return cap + 1;
+    binom = binom * (b + i) / i;  // exact: C(b+i, i) = C(b+i-1, i-1)(b+i)/i
+    if (binom - 1 > cap) return cap + 1;
+  }
+  return binom - 1;
+}
 
 void validate_request(const SolveRequest& request) {
   if (request.runs == 0)

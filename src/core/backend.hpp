@@ -181,6 +181,13 @@ inline constexpr std::uint64_t kMaxArrayCells = std::uint64_t{1} << 25;
 /// equilibrium search has no polynomial budget to fall back on.
 inline constexpr std::uint64_t kMaxSupportPairs = std::uint64_t{1} << 18;
 
+/// Support pairs game::support_enumeration examines on an n×m game (every
+/// pair of equal-size supports): sum over k of C(n,k)·C(m,k), which is
+/// C(n+m, n) − 1 by Vandermonde's identity. Returns cap + 1 for any count
+/// above `cap`, without overflow whatever n and m.
+std::uint64_t support_pairs(std::uint64_t n, std::uint64_t m,
+                            std::uint64_t cap);
+
 /// Submit-time request validation: throws std::invalid_argument with a clear
 /// message for requests that could only fail later on a worker thread
 /// (zero or more than kMaxRuns sample units, zero intervals, degenerate game

@@ -1,7 +1,12 @@
 #include "game/parse.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <iterator>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace cnash::game {
@@ -12,11 +17,46 @@ ParseError::ParseError(std::size_t line, const std::string& message)
 
 namespace {
 
-std::string trim(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
-  const auto end = s.find_last_not_of(" \t\r\n");
+constexpr std::string_view kLineSpace = " \t\r\n";
+
+/// Separators between payoff tokens: isspace in the C locale.
+bool is_token_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+std::string_view trim(std::string_view s) {
+  const auto begin = s.find_first_not_of(kLineSpace);
+  if (begin == std::string_view::npos) return {};
+  const auto end = s.find_last_not_of(kLineSpace);
   return s.substr(begin, end - begin + 1);
+}
+
+/// Reads the payoff number that starts at `first`: an optional sign, decimal
+/// digits with an optional point and exponent, finite and inside the range of
+/// a double. Returns where the number ends, or nullptr when there is none.
+const char* read_payoff(const char* first, const char* last, double& out) {
+  // from_chars takes no '+' sign but reads "inf" and "nan"; the token grammar
+  // is the other way round.
+  if (first != last && *first == '+') {
+    ++first;
+    if (first != last && *first == '-') return nullptr;
+  }
+  const auto [end, ec] = std::from_chars(first, last, out);
+  return ec == std::errc() && std::isfinite(out) ? end : nullptr;
+}
+
+/// The numbers of one payoff row; each must be a whole token.
+std::vector<double> parse_row(std::string_view line, std::size_t line_no) {
+  std::vector<double> row;
+  const char* p = line.data();
+  const char* const last = p + line.size();
+  for (;;) {
+    while (p != last && is_token_space(*p)) ++p;
+    if (p == last) return row;
+    double v = 0.0;
+    p = read_payoff(p, last, v);
+    if (p == nullptr || (p != last && !is_token_space(*p)))
+      throw ParseError(line_no, "non-numeric token in payoff row");
+    row.push_back(v);
+  }
 }
 
 la::Matrix rows_to_matrix(const std::vector<std::vector<double>>& rows,
@@ -33,22 +73,21 @@ la::Matrix rows_to_matrix(const std::vector<std::vector<double>>& rows,
   return m;
 }
 
-}  // namespace
-
-BimatrixGame parse_game(std::istream& in) {
+BimatrixGame parse_text(std::string_view text) {
   std::string name = "unnamed";
   std::vector<std::vector<double>> m_rows, n_rows;
   std::vector<std::vector<double>>* current = nullptr;
   std::size_t m_line = 0, n_line = 0;
 
-  std::string raw;
   std::size_t line_no = 0;
-  while (std::getline(in, raw)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = trim(text.substr(pos, eol - pos));
+    pos = eol + 1;
     ++line_no;
-    const std::string line = trim(raw);
     if (line.empty() || line[0] == '#') continue;
-    if (line.rfind("name:", 0) == 0) {
-      name = trim(line.substr(5));
+    if (line.starts_with("name:")) {
+      name = std::string(trim(line.substr(5)));
       continue;
     }
     if (line == "M:") {
@@ -63,12 +102,7 @@ BimatrixGame parse_game(std::istream& in) {
     }
     if (current == nullptr)
       throw ParseError(line_no, "payoff row before any 'M:' or 'N:' header");
-    std::istringstream row_in(line);
-    std::vector<double> row;
-    double v = 0.0;
-    while (row_in >> v) row.push_back(v);
-    if (!row_in.eof())
-      throw ParseError(line_no, "non-numeric token in payoff row");
+    std::vector<double> row = parse_row(line, line_no);
     if (row.empty()) throw ParseError(line_no, "empty payoff row");
     current->push_back(std::move(row));
   }
@@ -81,9 +115,16 @@ BimatrixGame parse_game(std::istream& in) {
   return BimatrixGame(std::move(m), std::move(n), name);
 }
 
+}  // namespace
+
+BimatrixGame parse_game(std::istream& in) {
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  return parse_text(text);
+}
+
 BimatrixGame parse_game_text(const std::string& text) {
-  std::istringstream in(text);
-  return parse_game(in);
+  return parse_text(text);
 }
 
 std::string serialize_game(const BimatrixGame& game, int precision) {

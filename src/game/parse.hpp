@@ -11,8 +11,11 @@
 //   1 0
 //   0 2
 //
-// Both matrices must be present and share the same shape. `serialize_game`
-// writes the same format back (round-trip stable).
+// Both matrices must be present and share the same shape. A payoff token is a
+// decimal number with an optional sign ("-1.5", "+2", "2e2", ".25"), finite
+// and inside the range of a double; anything else in a row ("1.2.3", "inf",
+// "1e-400", "0x10") is a ParseError. `serialize_game` writes the same format
+// back (round-trip stable).
 
 #include <istream>
 #include <string>

@@ -166,9 +166,9 @@ void SolutionStore::open_and_recover() {
         stats_.entries--;
       }
       if (rec.header.flags == kRecordTombstone) continue;
-      const IndexEntry entry{id, rec.offset, rec.header};
-      index_[rec.header.digest].push_back(entry);
-      eviction_order_.emplace_back(rec.header.digest, entry);
+      index_.emplace(rec.header.digest,
+                     IndexEntry{id, rec.offset, rec.header});
+      eviction_order_.push_back({rec.header.digest, id, rec.offset});
       stats_.live_stored_bytes += record_bytes(rec.header);
       stats_.live_raw_bytes += rec.header.raw_len;
       stats_.live_value_bytes += rec.header.value_len;
@@ -229,18 +229,21 @@ void SolutionStore::rotate_if_needed(std::size_t incoming) {
 
 bool SolutionStore::erase_live(std::uint64_t digest, std::string_view key,
                                IndexEntry* erased) {
-  const auto bucket = index_.find(digest);
-  if (bucket == index_.end()) return false;
-  auto& entries = bucket->second;
-  for (auto it = entries.begin(); it != entries.end(); ++it) {
-    if (it->header.key_len != key.size()) continue;
-    if (read_record_key(*it) != key) continue;
-    *erased = *it;
-    entries.erase(it);
-    if (entries.empty()) index_.erase(bucket);
+  for (auto [it, last] = index_.equal_range(digest); it != last; ++it) {
+    if (it->second.header.key_len != key.size()) continue;
+    if (read_record_key(it->second) != key) continue;
+    *erased = it->second;
+    index_.erase(it);
     return true;
   }
   return false;
+}
+
+SolutionStore::Index::iterator SolutionStore::find_live(const RecordRef& ref) {
+  for (auto [it, last] = index_.equal_range(ref.digest); it != last; ++it)
+    if (it->second.segment == ref.segment && it->second.offset == ref.offset)
+      return it;
+  return index_.end();
 }
 
 std::string SolutionStore::read_record_key(const IndexEntry& entry) {
@@ -293,21 +296,19 @@ std::string SolutionStore::read_record_value(const IndexEntry& entry) {
 std::optional<std::string> SolutionStore::get(std::uint64_t digest,
                                               std::string_view key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto bucket = index_.find(digest);
-  if (bucket != index_.end()) {
-    for (const IndexEntry& entry : bucket->second) {
-      if (entry.header.key_len != key.size()) continue;
-      if (read_record_key(entry) != key) continue;
-      try {
-        std::string value = read_record_value(entry);
-        stats_.hits++;
-        return value;
-      } catch (const CodecError&) {
-        // CRC said the bytes were intact at open, but the codec tag is
-        // unknown or the stream does not decode: treat as a miss rather than
-        // crash the gateway; compaction or a fresh put will paper over it.
-        break;
-      }
+  for (auto [it, last] = index_.equal_range(digest); it != last; ++it) {
+    const IndexEntry& entry = it->second;
+    if (entry.header.key_len != key.size()) continue;
+    if (read_record_key(entry) != key) continue;
+    try {
+      std::string value = read_record_value(entry);
+      stats_.hits++;
+      return value;
+    } catch (const CodecError&) {
+      // CRC said the bytes were intact at open, but the codec tag is
+      // unknown or the stream does not decode: treat as a miss rather than
+      // crash the gateway; compaction or a fresh put will paper over it.
+      break;
     }
   }
   stats_.misses++;
@@ -356,10 +357,10 @@ void SolutionStore::put(std::uint64_t digest, std::string_view key,
   }
 
   rotate_if_needed(record.size());
-  const IndexEntry entry{active_segment_, active_size_, header};
+  const RecordRef ref{digest, active_segment_, active_size_};
   append_active(record);
-  index_[digest].push_back(entry);
-  eviction_order_.emplace_back(digest, entry);
+  index_.emplace(digest, IndexEntry{ref.segment, ref.offset, header});
+  eviction_order_.push_back(ref);
   stats_.live_stored_bytes += record.size();
   stats_.live_raw_bytes += value.size();
   stats_.live_value_bytes += stored.size();
@@ -377,27 +378,20 @@ void SolutionStore::put(std::uint64_t digest, std::string_view key,
 void SolutionStore::evict_until_within_budget() {
   while (stats_.live_stored_bytes > options_.byte_budget &&
          stats_.entries > 1 && !eviction_order_.empty()) {
-    auto [digest, at] = eviction_order_.front();
+    const RecordRef at = eviction_order_.front();
     eviction_order_.pop_front();
-    // Stale (superseded or already evicted) entries are skipped lazily.
-    const auto bucket = index_.find(digest);
-    if (bucket == index_.end()) continue;
-    const auto it = std::find_if(
-        bucket->second.begin(), bucket->second.end(),
-        [&at](const IndexEntry& e) {
-          return e.segment == at.segment && e.offset == at.offset;
-        });
-    if (it == bucket->second.end()) continue;
+    // Stale (superseded or already evicted) refs are skipped lazily.
+    const auto it = find_live(at);
+    if (it == index_.end()) continue;
 
-    const std::string key = read_record_key(*it);
-    const IndexEntry victim = *it;
-    bucket->second.erase(it);
-    if (bucket->second.empty()) index_.erase(bucket);
+    const IndexEntry victim = it->second;
+    const std::string key = read_record_key(victim);
+    index_.erase(it);
 
     RecordHeader tomb;
     tomb.flags = kRecordTombstone;
     tomb.codec = kCodecStored;
-    tomb.digest = digest;
+    tomb.digest = at.digest;
     std::string record;
     encode_record(tomb, key, {}, record);
     rotate_if_needed(record.size());
@@ -432,15 +426,9 @@ void SolutionStore::compact_locked() {
   // verbatim — content and CRC are unchanged, only the address moves.
   std::vector<std::pair<std::uint64_t, IndexEntry>> live;
   live.reserve(stats_.entries);
-  for (const auto& [digest, at] : eviction_order_) {
-    const auto bucket = index_.find(digest);
-    if (bucket == index_.end()) continue;
-    const bool is_live = std::any_of(
-        bucket->second.begin(), bucket->second.end(),
-        [&at](const IndexEntry& e) {
-          return e.segment == at.segment && e.offset == at.offset;
-        });
-    if (is_live) live.emplace_back(digest, at);
+  for (const RecordRef& ref : eviction_order_) {
+    const auto it = find_live(ref);
+    if (it != index_.end()) live.emplace_back(ref.digest, it->second);
   }
 
   const std::vector<std::uint64_t> old_ids = [this] {
@@ -456,8 +444,8 @@ void SolutionStore::compact_locked() {
   create_segment(active_segment_);
   active_size_ = kSegmentHeaderSize;
 
-  std::unordered_map<std::uint64_t, std::vector<IndexEntry>> new_index;
-  std::deque<std::pair<std::uint64_t, IndexEntry>> new_order;
+  Index new_index;
+  std::deque<RecordRef> new_order;
   std::string record;
   for (auto& [digest, at] : live) {
     const std::size_t size = record_bytes(at.header);
@@ -475,10 +463,10 @@ void SolutionStore::compact_locked() {
       done += static_cast<std::size_t>(got);
     }
     rotate_if_needed(size);
-    const IndexEntry entry{active_segment_, active_size_, at.header};
+    const RecordRef ref{digest, active_segment_, active_size_};
     append_active(record);
-    new_index[digest].push_back(entry);
-    new_order.emplace_back(digest, entry);
+    new_index.emplace(digest, IndexEntry{ref.segment, ref.offset, at.header});
+    new_order.push_back(ref);
   }
   ::fdatasync(fds_.at(active_segment_));
 

@@ -158,6 +158,13 @@ class SolutionStore {
     std::size_t offset = 0;  // of the record start
     RecordHeader header;
   };
+  /// A record's address in log order: no two live records share one.
+  struct RecordRef {
+    std::uint64_t digest = 0;
+    std::uint64_t segment = 0;
+    std::size_t offset = 0;
+  };
+  using Index = std::unordered_multimap<std::uint64_t, IndexEntry>;
 
   void open_and_recover();
   int segment_fd(std::uint64_t id);
@@ -168,6 +175,7 @@ class SolutionStore {
   std::string read_record_value(const IndexEntry& entry);  // decoded
   bool erase_live(std::uint64_t digest, std::string_view key,
                   IndexEntry* erased);
+  Index::iterator find_live(const RecordRef& ref);  // index_.end() if stale
   void evict_until_within_budget();
   void maybe_auto_compact();
   void compact_locked();
@@ -179,13 +187,13 @@ class SolutionStore {
   StoreOptions options_;
   mutable std::mutex mutex_;
 
-  /// digest → live entries with that digest (collisions resolved by reading
-  /// and comparing the stored key bytes).
-  std::unordered_map<std::uint64_t, std::vector<IndexEntry>> index_;
-  /// Live entries in log order (oldest first) for budget eviction; entries
-  /// whose (segment, offset) no longer matches the index are stale and
+  /// digest → one node per live record (collisions resolved by reading and
+  /// comparing the stored key bytes).
+  Index index_;
+  /// Live records in log order (oldest first) for budget eviction; a ref
+  /// whose (segment, offset) no longer matches the index is stale and
   /// skipped lazily.
-  std::deque<std::pair<std::uint64_t, IndexEntry>> eviction_order_;
+  std::deque<RecordRef> eviction_order_;
   /// Open fd per segment (readers pread these; the active one also appends).
   std::map<std::uint64_t, int> fds_;
   std::uint64_t active_segment_ = 0;

@@ -1,9 +1,11 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 namespace cnash::util {
 
@@ -40,17 +42,19 @@ void append_number(std::string& out, double v) {
     out += "null";
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Round-trip precision without noise: prefer the shortest of %.17g / %g
-  // that parses back to the same double, so integers and short decimals stay
-  // readable in golden files and on the wire.
-  char shorter[40];
-  std::snprintf(shorter, sizeof shorter, "%g", v);
-  if (std::strtod(shorter, nullptr) == v)
-    out += shorter;
-  else
-    out += buf;
+  // Round-trip precision without noise: %g when that parses back to the same
+  // double, else %.17g, so integers and short decimals stay readable in
+  // golden files and on the wire. to_chars with a precision prints exactly
+  // what printf's %.<precision>g does, so the bytes are printf's.
+  char buf[32];
+  auto printed =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
+  double back = 0.0;
+  const auto parsed = std::from_chars(buf, printed.ptr, back);
+  if (parsed.ec != std::errc() || back != v)
+    printed = std::to_chars(buf, buf + sizeof buf, v,
+                            std::chars_format::general, 17);
+  out.append(buf, printed.ptr);
 }
 
 /// Recursive-descent parser over [text, text+size). Throws JsonError.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "game/games.hpp"
 #include "game/parse.hpp"
 #include "game/verify.hpp"
@@ -90,6 +92,9 @@ TEST(Parse, EveryMalformedInputThrowsParseError) {
       "M:\n1 2\nN:\n1 2 3\n",      // M and N shapes differ
       "M:\n1 x\nN:\n1 2\n",        // non-numeric payoff
       "M:\n1 2\n\n \nN:\n1 2e\n",  // trailing junk on a number
+      "M:\n1.2.3\nN:\n1 2\n",      // two points, not the row [1.2, 0.3]
+      "M:\n1e5.5\nN:\n1 2\n",      // fractional exponent, not [1e5, 0.5]
+      "M:\n1e-400 2\nN:\n1 2\n",   // underflows a double, not [0, 2]
   };
   for (const char* text : malformed) {
     try {
@@ -100,6 +105,23 @@ TEST(Parse, EveryMalformedInputThrowsParseError) {
     } catch (const std::exception& e) {
       FAIL() << "wrong exception type for: " << text << " — " << e.what();
     }
+  }
+}
+
+TEST(Parse, PayoffTokensAreSignedFiniteDecimals) {
+  // Accepted: an optional sign, digits with an optional point and exponent.
+  const BimatrixGame g =
+      parse_game_text("M:\n+2 .25 5. -0 1e-310\nN:\n1 2 3 4 5\n");
+  EXPECT_EQ(g.payoff1()(0, 0), 2.0);
+  EXPECT_EQ(g.payoff1()(0, 1), 0.25);
+  EXPECT_EQ(g.payoff1()(0, 2), 5.0);
+  EXPECT_EQ(g.payoff1()(0, 3), 0.0);
+  EXPECT_EQ(g.payoff1()(0, 4), 1e-310);  // subnormal, still in range
+  // Rejected: non-finite, out of range, hex, doubled signs.
+  for (const char* token :
+       {"inf", "-inf", "nan", "infinity", "1e400", "0x10", "+-3", "--3", "+"}) {
+    const std::string text = std::string("M:\n1 ") + token + "\nN:\n1 2\n";
+    EXPECT_THROW(parse_game_text(text), ParseError) << token;
   }
 }
 

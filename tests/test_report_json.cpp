@@ -11,11 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <utility>
 
 #include "core/report_json.hpp"
 #include "core/service.hpp"
@@ -211,6 +216,74 @@ TEST(Json, NumbersRenderWithRoundTripPrecision) {
   EXPECT_EQ(util::Json::number(std::nan("")).dump(), "null");
   EXPECT_EQ(util::Json::number(std::numeric_limits<double>::infinity()).dump(),
             "null");
+  // The exact bytes: goldens, stored reports and cached responses hold them.
+  using limits = std::numeric_limits<double>;
+  const std::pair<double, const char*> pinned[] = {
+      {0.1, "0.1"},
+      {1.0 / 3.0, "0.33333333333333331"},
+      {1.0 / 12.0, "0.083333333333333329"},
+      {123456.0, "123456"},
+      {1234567.0, "1234567"},
+      {1e6, "1e+06"},
+      {1e-4, "0.0001"},
+      {1e-5, "1e-05"},
+      {1e21, "1e+21"},
+      {9007199254740992.0, "9007199254740992"},  // 2^53
+      {-0.0, "-0"},
+      {limits::denorm_min(), "4.94066e-324"},
+      {limits::min(), "2.2250738585072014e-308"},
+      {limits::max(), "1.7976931348623157e+308"},
+      {0.35623840099999998, "0.35623840099999998"},
+  };
+  for (const auto& [v, text] : pinned)
+    EXPECT_EQ(util::Json::number(v).dump(), text);
+}
+
+/// The number rule util::Json implements, written with the C library: %g
+/// when that parses back to the same double, else %.17g.
+std::string printf_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char shorter[40], full[40];
+  std::snprintf(shorter, sizeof shorter, "%g", v);
+  std::snprintf(full, sizeof full, "%.17g", v);
+  return std::strtod(shorter, nullptr) == v ? shorter : full;
+}
+
+TEST(Json, NumbersRenderAsThePrintfRuleDoes) {
+  std::mt19937_64 rng(0xC0FFEE);
+  std::size_t mismatches = 0;
+  auto check = [&](double v) {
+    const std::string got = util::Json::number(v).dump();
+    const std::string want = printf_number(v);
+    if (got != want && ++mismatches <= 10)
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v) << ": got "
+                    << got << ", want " << want;
+  };
+  // Every kind of double: random bit patterns, NaN and infinity included.
+  for (int i = 0; i < 100000; ++i) check(std::bit_cast<double>(rng()));
+  // What reports hold: profile probabilities k/n (k/12 at the default
+  // intervals), tick and sample counts, small objectives and timings.
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t r = rng();
+    switch (i % 4) {
+      case 0: {
+        const std::uint64_t n = 1 + r % 64;
+        check(static_cast<double>((r >> 8) % (n + 1)) / static_cast<double>(n));
+        break;
+      }
+      case 1:
+        check(static_cast<double>(r % 10000000));
+        break;
+      case 2:
+        check(-static_cast<double>(r % 100000) /
+              static_cast<double>(1 + (r >> 32) % 144));
+        break;
+      default:
+        check(static_cast<double>(r >> 11) * 0x1.0p-53 * 10.0);
+        break;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace
